@@ -31,9 +31,9 @@ from .dataset import (
     save_instances,
 )
 from .errors import EmptyCorpus, IbgnError
-from .generate import ClassModel, _draw, realize_timestamps, sample_network
+from .generate import ClassModel, draw_size, realize_timestamps, sample_network
 from .learning import TrainConfig, train_class_model
-from .model_io import ModelBundle, load_bundle, save_bundle
+from .model_io import ModelBundle, _fmt, load_bundle, save_bundle
 from .network import check_consistency, instance_to_network
 
 __all__ = ["main"]
@@ -54,10 +54,6 @@ def _setup_logging() -> None:
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # training helpers
 
@@ -69,7 +65,6 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
         avg_window=args.avg_window,
         structure=args.structure,
         rho=args.rho,
-        seed=args.seed,
         alpha_init=args.alpha_init,
         beta_init=args.beta_init,
         clamp_lo=args.clamp_lo,
@@ -218,13 +213,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
     model = bundle.model_for(args.class_name)
     rng = np.random.default_rng(args.seed)
-    sizes = sorted(model.size_histogram.items())
-    size_values = [size for size, _count in sizes]
-    total = sum(count for _size, count in sizes)
-    size_probs = np.asarray([count / total for _size, count in sizes])
     instances = []
     for _ in range(args.count):
-        k = args.size if args.size is not None else size_values[_draw(size_probs, rng)]
+        k = args.size if args.size is not None else draw_size(model, rng)
         network = sample_network(model, k, rng)
         instances.append(realize_timestamps(network, label=args.class_name))
     save_instances(

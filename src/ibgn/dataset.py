@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
-from .generate import ClassModel, _draw, realize_timestamps, sample_network
+from .generate import ClassModel, draw_size, realize_timestamps, sample_network
 from .network import Instance, Interval
 
 __all__ = [
@@ -243,12 +243,8 @@ def build_synthetic_corpus(
     instances = []
     for name in names:
         model = class_models[name]
-        sizes = sorted(model.size_histogram.items())
-        size_values = [size for size, _count in sizes]
-        total = sum(count for _size, count in sizes)
-        size_probs = np.asarray([count / total for _size, count in sizes])
         for _ in range(per_class):
-            k = size_values[_draw(size_probs, rng)]
+            k = draw_size(model, rng)
             network = sample_network(model, k, rng)
             instances.append(realize_timestamps(network, label=name))
     return Corpus(instances=instances, vocab=vocab, classes=names)

@@ -67,5 +67,9 @@ class NoModels(IbgnError, ValueError):
     """Prediction was requested with an empty model collection."""
 
 
+class BundleInvalid(IbgnError, ValueError):
+    """A model bundle file has an unsupported schema version or the wrong shape."""
+
+
 class UnknownClass(IbgnError, KeyError):
     """A class name is absent from a model bundle."""

@@ -159,6 +159,14 @@ def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
     return last
 
 
+def draw_size(model: ClassModel, rng: np.random.Generator) -> int:
+    """Instance size drawn from the model's size histogram (one uniform draw)."""
+    sizes = sorted(model.size_histogram.items())
+    total = sum(count for _size, count in sizes)
+    probs = [count / total for _size, count in sizes]
+    return sizes[_draw(probs, rng)][0]
+
+
 def sample_node(
     state: GenerationState, model: ClassModel, rng: np.random.Generator
 ) -> Tuple[int, int]:

@@ -12,21 +12,23 @@ The concentration parameters are refit by multiplicative fixed-point updates
 driven by digamma sums over a window of count samples recorded one per
 training instance per sweep — per-table occupancy vectors (minus each
 instance's deterministic first seat) for the seating strengths, per-table
-action counts for the dish priors.  Refits wait until the sample window is
-complete, then run once per remaining sweep over the fixed window, so the
-returned hyperparameters approach the maximum-likelihood stationary point of
-the recorded samples.  Relation distributions are estimated afterwards by a
-deterministic scan that replays, for every structure link, the constraint
-under which its relation was chosen.  Structure itself is picked per link by
-a decomposable BIC comparison, which makes the per-link decision globally
-optimal.
+action counts for the dish priors.  The updates read only how often each
+count value occurs in the window (Minka's count-histogram form), so the
+window is kept as running histogram sums whose size does not depend on its
+length.  Refits wait until the window is complete, then run once per
+remaining sweep over the fixed sums, so the returned hyperparameters
+approach the maximum-likelihood stationary point of the recorded samples.
+Relation distributions are estimated afterwards by a deterministic scan that
+replays, for every structure link, the constraint under which its relation
+was chosen.  Structure itself is picked per link by a decomposable BIC
+comparison, which makes the per-link decision globally optimal.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,7 +114,6 @@ class TrainConfig:
     avg_window: int = 1000
     structure: str = "learned"
     rho: float = 1e-5
-    seed: int = 0
     alpha_init: float = 1.0
     beta_init: float = 0.5
     clamp_lo: float = 1e-6
@@ -143,17 +144,14 @@ class SamplerState:
     action_counts: np.ndarray  # (ell, M) corpus-wide table/action counts
     row_totals: np.ndarray  # (ell,) row sums of action_counts
     occupancy: np.ndarray  # (D, ell) per-instance table occupancy
-    table_totals: np.ndarray  # (ell,) corpus-wide table occupancy
     alpha: np.ndarray  # (ell,)
     beta: np.ndarray  # (ell, M)
     beta_rows: np.ndarray  # (ell,)
-    iteration: int = 0
-    hist_table: Optional[np.ndarray] = None  # (window, ell, cap) per-sweep histograms of per-instance occupancy
-    hist_alpha: Optional[np.ndarray] = None  # (window, ell, cap) same but excluding each instance's first seat
-    hist_action: Optional[np.ndarray] = None  # (window, ell, M, cap) per-sweep histograms of per-instance action counts
+    window_table: Optional[np.ndarray] = None  # (ell, cap) window-summed histograms of per-instance occupancy
+    window_alpha: Optional[np.ndarray] = None  # (ell, cap) same but excluding each instance's first seat
+    window_action: Optional[np.ndarray] = None  # (ell, M, cap) same for per-instance action counts
     length_hist: Optional[np.ndarray] = None  # (cap,) histogram of instance lengths minus the first seat
-    hist_len: int = 0
-    hist_next: int = 0
+    window_sweeps: int = 0  # sweeps summed into the window histograms
 
     @property
     def ell(self) -> int:
@@ -225,7 +223,6 @@ def _unseat(state: SamplerState, d: int, n: int) -> None:
     state.action_counts[z, a] -= 1.0
     state.row_totals[z] -= 1.0
     state.occupancy[d, z] -= 1.0
-    state.table_totals[z] -= 1.0
 
 
 def _seat(state: SamplerState, d: int, n: int, z: int) -> None:
@@ -234,7 +231,6 @@ def _seat(state: SamplerState, d: int, n: int, z: int) -> None:
     state.action_counts[z, a] += 1.0
     state.row_totals[z] += 1.0
     state.occupancy[d, z] += 1.0
-    state.table_totals[z] += 1.0
 
 
 def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -242,10 +238,11 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
 
     Each recorded sample contributes ``psi(count + param) - psi(param)`` to
     its side of the ratio.  The samples are per-instance count vectors, one
-    per instance per recorded sweep, kept as per-sweep count histograms: for
-    alpha, each instance's table occupancy vector excluding its first seat
-    (which is deterministic under the canonical table labeling and carries
-    no information about the strengths) against a denominator term of
+    per instance per recorded sweep, read from the window-summed count
+    histograms (how many samples took each count value): for alpha, each
+    instance's table occupancy vector excluding its first seat (which is
+    deterministic under the canonical table labeling and carries no
+    information about the strengths) against a denominator term of
     ``psi(instance_length - 1 + sum(alpha)) - psi(sum(alpha))`` per sample;
     for each beta row, each instance's action counts at that table against
     the instance's node count at that table.  A parameter whose denominator
@@ -253,25 +250,19 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
     clamped to the configured bounds.  The new values are written into the
     state and returned.
     """
-    size = state.hist_len
-    if size == 0 or state.hist_table is None or state.hist_action is None:
+    size = state.window_sweeps
+    hist_sum, alpha_sum_hist, action_sum = state.window_table, state.window_alpha, state.window_action
+    if size == 0 or any(h is None for h in (hist_sum, alpha_sum_hist, action_sum, state.length_hist)):
         raise ValueError("no count samples recorded yet")
-    table_hist = state.hist_table[:size]
-    alpha_hist = state.hist_alpha[:size] if state.hist_alpha is not None else table_hist
-    action_hist = state.hist_action[:size]
     alpha = state.alpha
     beta = state.beta
     lo, hi = config.clamp_lo, config.clamp_hi
 
-    hist_sum = table_hist.sum(axis=0)  # (ell, cap) occupancy-count histogram over the window
-    alpha_sum_hist = alpha_hist.sum(axis=0)  # (ell, cap) with first seats excluded
     cap = hist_sum.shape[1]
     support = np.arange(1, cap, dtype=float)
     if float(alpha_sum_hist.sum()) == 0.0:
         new_alpha = alpha.copy()
     else:
-        if state.length_hist is None:
-            raise ValueError("no instance-length histogram recorded")
         alpha_sum = float(alpha.sum())
         num = (
             alpha_sum_hist[:, 1:]
@@ -287,7 +278,6 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
         new_alpha = np.clip(alpha * num / den, lo, hi) if den > 0.0 else alpha.copy()
 
     beta_rows = beta.sum(axis=1)
-    action_sum = action_hist.sum(axis=0)  # (ell, M, cap) action-count histogram over the window
     cap_a = action_sum.shape[2]
     support_a = np.arange(1, cap_a, dtype=float)
     bnum = (
@@ -307,6 +297,15 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
     return new_alpha, new_beta
 
 
+def _add_histograms(window: np.ndarray, counts: np.ndarray) -> None:
+    """Add to ``window`` ``(*cells, cap)``, per cell, how many instances have
+    each count in ``counts`` ``(D, *cells)``: one ``bincount``, cell ``c`` at offset ``c * cap``."""
+    cap = window.shape[-1]
+    offsets = np.arange(0, window.size, cap).reshape(counts.shape[1:])
+    flat = np.bincount((counts + offsets).ravel(), minlength=window.size)
+    window += flat.reshape(window.shape)
+
+
 def run_gibbs(
     instances: Sequence[Instance],
     vocab_size: int,
@@ -318,14 +317,15 @@ def run_gibbs(
 
     Nulls never enter the sampler.  Assignments are initialized by a
     sequential draw from the seating prior; every sweep then reseats each
-    node of each instance in order.  Counts are snapshotted and averaged
-    over the ``avg_window`` sweeps following burn-in; those snapshots are
-    the refit sample history.  While the history is still being assembled
-    the per-sweep refit is the documented no-op (the chain anneals at the
-    initial hyperparameters), and every sweep after the window completes
-    applies one fixed-point step over the collected samples, so the
-    returned hyperparameters approach the stationary point of the window.
-    Fixed seed, config and corpus give bit-identical results.
+    node of each instance in order.  Counts are averaged over the
+    ``avg_window`` sweeps following burn-in, and each of those sweeps adds
+    its per-instance count histograms to the window sums the refit reads.
+    While the window is still being recorded the per-sweep refit is the
+    documented no-op (the chain anneals at the initial hyperparameters), and
+    every sweep after the window completes applies one fixed-point step over
+    the window sums, so the returned hyperparameters approach the stationary
+    point of the window.  Fixed seed, config and corpus give bit-identical
+    results.
     """
     config.validate()
     if not instances:
@@ -351,13 +351,12 @@ def run_gibbs(
         action_counts=np.zeros((ell, vocab_size)),
         row_totals=np.zeros(ell),
         occupancy=np.zeros((num_instances, ell)),
-        table_totals=np.zeros(ell),
         alpha=np.full(ell, float(config.alpha_init)),
         beta=np.full((ell, vocab_size), float(config.beta_init)),
         beta_rows=np.full(ell, float(config.beta_init) * vocab_size),
-        hist_table=np.zeros((config.avg_window, ell, cap)),
-        hist_alpha=np.zeros((config.avg_window, ell, cap)),
-        hist_action=np.zeros((config.avg_window, ell, vocab_size, cap)),
+        window_table=np.zeros((ell, cap)),
+        window_alpha=np.zeros((ell, cap)),
+        window_action=np.zeros((ell, vocab_size, cap)),
         length_hist=np.bincount([len(a) - 1 for a in actions], minlength=cap).astype(float),
     )
     # static per-node (instance, action) indices for the per-sweep count histograms
@@ -381,27 +380,22 @@ def run_gibbs(
                 seated[z] += 1.0
             _seat(state, d, n, z)
 
-    window = config.avg_window
     avg_na = np.zeros_like(state.action_counts)
     avg_nt = np.zeros_like(state.occupancy)
-    averaged = 0
     for sweep in range(1, config.iterations + 1):
         for d in range(num_instances):
             for n in range(len(actions[d])):
                 _unseat(state, d, n)
                 probs = gibbs_conditional(state, d, n)
                 _seat(state, d, n, _draw(probs, rng))
-        state.iteration = sweep
         if sweep <= config.burn_in:
             continue
-        if sweep <= config.burn_in + window:
+        if sweep <= config.burn_in + config.avg_window:
             occ = state.occupancy.astype(np.int64)
-            occ_rest = occ.copy()
+            _add_histograms(state.window_table, occ)
             first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
-            occ_rest[np.arange(num_instances), first_seats] -= 1
-            for z in range(ell):
-                state.hist_table[state.hist_next, z] = np.bincount(occ[:, z], minlength=cap)
-                state.hist_alpha[state.hist_next, z] = np.bincount(occ_rest[:, z], minlength=cap)
+            occ[np.arange(num_instances), first_seats] -= 1
+            _add_histograms(state.window_alpha, occ)
             node_table = np.asarray(
                 [t for assigned in state.assignments for t in assigned], dtype=np.int64
             )
@@ -409,22 +403,16 @@ def run_gibbs(
                 node_instance * cells + node_table * vocab_size + node_action,
                 minlength=num_instances * cells,
             ).reshape(num_instances, ell, vocab_size)
-            for z in range(ell):
-                for i in range(vocab_size):
-                    state.hist_action[state.hist_next, z, i] = np.bincount(
-                        per_instance[:, z, i], minlength=cap
-                    )
-            state.hist_next = (state.hist_next + 1) % window
-            state.hist_len = min(state.hist_len + 1, window)
+            _add_histograms(state.window_action, per_instance)
+            state.window_sweeps += 1
             avg_na += state.action_counts
             avg_nt += state.occupancy
-            averaged += 1
         else:
             update_hyperparams(state, config)
 
     return GibbsResult(
-        averaged_na=avg_na / averaged,
-        averaged_nt=avg_nt / averaged,
+        averaged_na=avg_na / state.window_sweeps,
+        averaged_nt=avg_nt / state.window_sweeps,
         alpha=state.alpha.copy(),
         beta=state.beta.copy(),
         state=state,

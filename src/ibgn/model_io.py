@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from .algebra import RelationSet
-from .errors import UnknownClass
+from .errors import BundleInvalid, UnknownClass
 from .generate import ClassModel
 from .network import StructureMask
 
@@ -109,12 +109,21 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle written by :func:`save_bundle`; raise
+    :class:`~ibgn.errors.BundleInvalid` for another schema version or shape."""
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
+    if not isinstance(document, dict):
+        raise BundleInvalid(f"model bundle must be a JSON object, not {type(document).__name__}")
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version!r}")
-    vocab = list(document["vocab"])
-    classes = list(document["classes"])
-    models = {name: _decode_model(document["models"][name], vocab) for name in classes}
+        raise BundleInvalid(f"unsupported model schema version: {version!r}")
+    try:
+        vocab = list(document["vocab"])
+        classes = list(document["classes"])
+        models = {name: _decode_model(document["models"][name], vocab) for name in classes}
+    except KeyError as exc:
+        raise BundleInvalid(f"model bundle has no entry {exc}") from exc
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise BundleInvalid(f"malformed model bundle: {exc}") from exc
     return ModelBundle(vocab=vocab, classes=classes, models=models)

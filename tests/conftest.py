@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -91,6 +92,33 @@ def random_model(rng: np.random.Generator, vocab_size: int = 3, k_star: int = 5)
         action_vocab=tuple(f"act{i}" for i in range(vocab_size)),
         size_histogram={k: 1 for k in range(1, k_star + 1)},
     )
+
+
+MALFORMED_BUNDLE_CASES = (
+    "no_models", "top_level_list", "class_without_model", "model_without_phi", "classes_not_a_list",
+)
+
+
+def malformed_bundle(valid: dict, case: str):
+    """A copy of a saved bundle document, broken in the way ``case`` names.
+
+    Every case keeps the supported schema version where it has one, so only
+    the document's shape is wrong.
+    """
+    document = copy.deepcopy(valid)
+    if case == "no_models":
+        del document["models"]
+    elif case == "top_level_list":
+        document = [document]
+    elif case == "class_without_model":
+        document["classes"].append("ghost")
+    elif case == "model_without_phi":
+        del document["models"][document["classes"][0]]["phi"]
+    elif case == "classes_not_a_list":
+        document["classes"] = 5
+    else:
+        raise ValueError(case)
+    return document
 
 
 def two_class_models(k_star: int = 5):

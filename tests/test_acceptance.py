@@ -294,15 +294,14 @@ def test_criterion_09_hyperparameter_fixed_point_and_digamma():
             action_counts=action_counts[-1].sum(axis=0).astype(float),
             row_totals=action_counts[-1].sum(axis=(0, 2)).astype(float),
             occupancy=np.zeros((1, ell)),
-            table_totals=np.zeros(ell),
             alpha=np.ones(ell),
             beta=np.full((ell, m), 0.5),
             beta_rows=np.full(ell, 1.0),
-            hist_table=hist_table,
-            hist_alpha=hist_alpha,
-            hist_action=hist_action,
+            window_table=hist_table.sum(axis=0),
+            window_alpha=hist_alpha.sum(axis=0),
+            window_action=hist_action.sum(axis=0),
             length_hist=np.bincount(occupancy[0].sum(axis=1) - 1, minlength=cap).astype(float),
-            hist_len=size,
+            window_sweeps=size,
         )
         config = TrainConfig()
         for _ in range(5000):

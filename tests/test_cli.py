@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import ibgn
-from ibgn import load_bundle, load_instances, save_instances
+from ibgn import ModelBundle, load_bundle, load_instances, save_bundle, save_instances
 from ibgn.cli import main
 from ibgn.dataset import build_synthetic_corpus
-from conftest import two_class_models
+from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, two_class_models
 
 TRAIN_FLAGS = [
     "--structure", "chain", "--iters", "30", "--burnin", "5", "--avg-window", "20",
@@ -170,6 +170,22 @@ class TestPredict:
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 1
+
+
+    @pytest.mark.parametrize("case", MALFORMED_BUNDLE_CASES)
+    def test_malformed_bundle_fails_cleanly(self, corpus_path, tmp_path, capsys, case):
+        models = two_class_models(k_star=4)
+        path = tmp_path / "bundle.json"
+        save_bundle(path, ModelBundle(["reach", "grasp", "pour", "stir"], list(models), models))
+        path.write_text(json.dumps(malformed_bundle(json.loads(path.read_text()), case)))
+        code = main(
+            ["predict", "--model", str(path), "--input", str(corpus_path),
+             "--out", str(tmp_path / "pred.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestEval:

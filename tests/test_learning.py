@@ -62,7 +62,6 @@ def make_state(action_counts, alpha, beta, actions, assignments):
         action_counts=action_counts,
         row_totals=action_counts.sum(axis=1),
         occupancy=occupancy,
-        table_totals=occupancy.sum(axis=0),
         alpha=alpha,
         beta=beta,
         beta_rows=beta.sum(axis=1),
@@ -196,12 +195,13 @@ class TestGibbsConditional:
 
 
 def state_with_samples(occupancy, first_seats, action_counts, alpha, beta):
-    """Build a sampler state whose refit history holds the given samples.
+    """Build a sampler state whose refit window holds the given samples.
 
     ``occupancy``: (sweeps, instances, tables) per-instance occupancy;
     ``first_seats``: (sweeps, instances) table of each instance's first seat;
     ``action_counts``: (sweeps, instances, tables, actions).  The arrays are
-    converted into the per-sweep count histograms the refit consumes.
+    converted into per-sweep count histograms, whose window sums the refit
+    consumes.
     """
     occupancy = np.asarray(occupancy, dtype=np.int64)
     first_seats = np.asarray(first_seats, dtype=np.int64)
@@ -219,22 +219,24 @@ def state_with_samples(occupancy, first_seats, action_counts, alpha, beta):
     rest = occupancy.copy()
     for s in range(size):
         rest[s, np.arange(count), first_seats[s]] -= 1
-    state.hist_table = np.zeros((size, ell, cap))
-    state.hist_alpha = np.zeros((size, ell, cap))
-    state.hist_action = np.zeros((size, ell, m, cap))
+    hist_table = np.zeros((size, ell, cap))
+    hist_alpha = np.zeros((size, ell, cap))
+    hist_action = np.zeros((size, ell, m, cap))
     for s in range(size):
         for z in range(ell):
-            state.hist_table[s, z] = np.bincount(occupancy[s, :, z], minlength=cap)
-            state.hist_alpha[s, z] = np.bincount(rest[s, :, z], minlength=cap)
+            hist_table[s, z] = np.bincount(occupancy[s, :, z], minlength=cap)
+            hist_alpha[s, z] = np.bincount(rest[s, :, z], minlength=cap)
             for i in range(m):
-                state.hist_action[s, z, i] = np.bincount(
+                hist_action[s, z, i] = np.bincount(
                     action_counts[s, :, z, i], minlength=cap
                 )
+    state.window_table = hist_table.sum(axis=0)
+    state.window_alpha = hist_alpha.sum(axis=0)
+    state.window_action = hist_action.sum(axis=0)
     state.length_hist = np.bincount(
         occupancy[0].sum(axis=1) - 1, minlength=cap
     ).astype(float)
-    state.hist_len = size
-    state.hist_next = 0
+    state.window_sweeps = size
     return state
 
 
@@ -281,11 +283,11 @@ class TestUpdateHyperparams:
             actions=[[0]],
             assignments=[[0]],
         )
-        state.hist_table = np.zeros((3, 2, 4))
-        state.hist_alpha = np.zeros((3, 2, 4))
-        state.hist_action = np.zeros((3, 2, 2, 4))
+        state.window_table = np.zeros((2, 4))
+        state.window_alpha = np.zeros((2, 4))
+        state.window_action = np.zeros((2, 2, 4))
         state.length_hist = np.zeros(4)
-        state.hist_len = 3
+        state.window_sweeps = 3
         new_alpha, new_beta = update_hyperparams(state, TrainConfig())
         np.testing.assert_array_equal(new_alpha, [1.0, 2.0])
         np.testing.assert_array_equal(new_beta, np.full((2, 2), 0.5))
@@ -375,6 +377,44 @@ class TestRunGibbs:
         assert result.averaged_na.sum() == pytest.approx(
             sum(inst.observed_length for inst in corpus)
         )
+
+    def test_window_sums_count_every_instance_and_node(self):
+        rng = np.random.default_rng(103)
+        corpus = self._corpus(rng, count=9, vocab_size=3)
+        config = tiny_config()
+        state = run_gibbs(corpus, 3, config, np.random.default_rng(4)).state
+        window, count = config.avg_window, len(corpus)
+        ell, m, cap = state.window_action.shape
+        assert state.window_sweeps == window
+        assert state.window_table.shape == state.window_alpha.shape == (ell, cap)
+        # each recorded sweep adds one sample per instance to every histogram
+        np.testing.assert_array_equal(state.window_table.sum(axis=1), window * count)
+        np.testing.assert_array_equal(state.window_alpha.sum(axis=1), window * count)
+        np.testing.assert_array_equal(state.window_action.sum(axis=2), window * count)
+        # the histogram of occupancy counts weighs back to every seated node
+        nodes = sum(inst.observed_length for inst in corpus)
+        assert (state.window_table * np.arange(cap)).sum() == window * nodes
+        assert (state.window_alpha * np.arange(cap)).sum() == window * (nodes - count)
+        assert (state.window_action * np.arange(cap)).sum() == window * nodes
+        # a one-sweep window ending the run holds the final state's histograms,
+        # table by table and cell by cell
+        state = run_gibbs(
+            corpus, 3, tiny_config(iterations=11, burn_in=10, avg_window=1), np.random.default_rng(5)
+        ).state
+        occupancy = state.occupancy.astype(np.int64)
+        rest = occupancy.copy()
+        per_instance = np.zeros((count, ell, m), dtype=np.int64)
+        for d, (seats, actions) in enumerate(zip(state.assignments, state.actions)):
+            rest[d, seats[0]] -= 1
+            for z, a in zip(seats, actions):
+                per_instance[d, z, a] += 1
+        for z in range(ell):
+            np.testing.assert_array_equal(state.window_table[z], np.bincount(occupancy[:, z], minlength=cap))
+            np.testing.assert_array_equal(state.window_alpha[z], np.bincount(rest[:, z], minlength=cap))
+            for i in range(m):
+                np.testing.assert_array_equal(
+                    state.window_action[z, i], np.bincount(per_instance[:, z, i], minlength=cap)
+                )
 
     def test_budget_override(self):
         rng = np.random.default_rng(102)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ibgn import ModelBundle, load_bundle, save_bundle
-from ibgn.errors import UnknownClass
+from ibgn.errors import BundleInvalid, UnknownClass
 from ibgn.model_io import SCHEMA_VERSION
-from conftest import random_model, two_class_models
+from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, random_model, two_class_models
 
 
 def make_bundle(seed=0):
@@ -99,4 +99,12 @@ class TestErrors:
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_BUNDLE_CASES)
+    def test_malformed_bundle_is_typed(self, tmp_path, case):
+        path = tmp_path / "bundle.json"
+        save_bundle(path, make_bundle())
+        path.write_text(json.dumps(malformed_bundle(json.loads(path.read_text()), case)))
+        with pytest.raises(BundleInvalid):
             load_bundle(path)
