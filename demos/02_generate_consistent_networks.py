@@ -18,9 +18,9 @@ from ibgn import (
     RelationSet,
     StructureMask,
     check_consistency,
-    compute_constraint,
     instance_to_network,
     realize_timestamps,
+    resolve_constraints,
     sample_network,
 )
 
@@ -59,11 +59,10 @@ def implied_constraints(network):
     """Constraint matrix the sampler worked under: singletons on links,
     composed constraint sets everywhere else (nodes are 0-based)."""
     x = {}
-    for n in range(1, network.size):
-        for p in range(n - 1, -1, -1):
-            constraint = compute_constraint(x, p, n)
-            rel = network.relations.get((p, n))
-            x[(p, n)] = RelationSet.of(rel) if rel is not None else constraint
+    for p, n, _constraint in resolve_constraints(network.size, x):
+        rel = network.relations.get((p, n))
+        if rel is not None:
+            x[(p, n)] = RelationSet.of(rel)
     return x
 
 

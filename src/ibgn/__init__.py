@@ -34,11 +34,11 @@ from .dataset import (
 )
 from .generate import (
     ClassModel,
-    GenerationState,
     crp_table_distribution,
     realize_timestamps,
+    sample_instance,
     sample_network,
-    sample_node,
+    seat_next,
 )
 from .learning import (
     NULL_RELATION_CODE,
@@ -54,6 +54,7 @@ from .learning import (
     gibbs_conditional,
     learn_structure,
     run_gibbs,
+    train_bundle,
     train_class_model,
     update_hyperparams,
 )
@@ -69,6 +70,7 @@ from .network import (
     compute_constraint,
     instance_to_network,
     pad_nulls,
+    resolve_constraints,
     scan_link_constraints,
 )
 from . import errors

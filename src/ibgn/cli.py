@@ -10,13 +10,12 @@ regardless of ``--jobs``.  Set ``IBGN_LOG`` to ``error``, ``info`` or
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .dataset import (
     perturb_labels,
     save_instances,
 )
-from .errors import EmptyCorpus, IbgnError
-from .generate import ClassModel, draw_size, realize_timestamps, sample_network
-from .learning import TrainConfig, train_class_model
+from .errors import IbgnError
+from .generate import sample_instance
+from .learning import TrainConfig, train_bundle
 from .model_io import ModelBundle, _fmt, load_bundle, save_bundle
 from .network import check_consistency, instance_to_network
 
@@ -54,10 +53,6 @@ def _setup_logging() -> None:
     )
 
 
-# ---------------------------------------------------------------------------
-# training helpers
-
-
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     config = TrainConfig(
         iterations=args.iters,
@@ -74,39 +69,6 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     return config
 
 
-def _train_worker(payload) -> Tuple[str, ClassModel]:
-    name, instances, vocab, config, seed_key = payload
-    rng = np.random.default_rng(seed_key)
-    return name, train_class_model(instances, vocab, config, rng)
-
-
-def _train_models(corpus: Corpus, config: TrainConfig, jobs: int, seed_key: List[int]) -> ModelBundle:
-    """Fit one model per class; fan out over processes when jobs > 1.
-
-    Every class gets an rng derived only from the base seed and its class
-    index, and results are merged in class order — so the bundle does not
-    depend on worker scheduling.
-    """
-    groups = corpus.by_class()
-    if not groups:
-        raise EmptyCorpus("corpus has no labeled instances")
-    payloads = [
-        (name, groups[name], corpus.vocab, config, seed_key + [idx])
-        for idx, name in enumerate(corpus.classes)
-    ]
-    models: Dict[str, ClassModel] = {}
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for name, model in pool.map(_train_worker, payloads):
-                models[name] = model
-    else:
-        for payload in payloads:
-            name, model = _train_worker(payload)
-            models[name] = model
-    ordered = {name: models[name] for name in corpus.classes}
-    return ModelBundle(vocab=list(corpus.vocab), classes=list(corpus.classes), models=ordered)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -114,7 +76,7 @@ def _train_models(corpus: Corpus, config: TrainConfig, jobs: int, seed_key: List
 def _cmd_train(args: argparse.Namespace) -> int:
     corpus = load_instances(args.input)
     config = _config_from_args(args)
-    bundle = _train_models(corpus, config, args.jobs, [args.seed])
+    bundle = train_bundle(corpus, config, [args.seed], args.jobs)
     save_bundle(args.out, bundle)
     for name in bundle.classes:
         model = bundle.models[name]
@@ -169,7 +131,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     confusion = {true: {pred: 0 for pred in classes} for true in classes}
     fold_accuracies: List[float] = []
     for fold, (train_part, test_part) in enumerate(splits):
-        bundle = _train_models(train_part, config, args.jobs, [args.seed, fold])
+        bundle = train_bundle(train_part, config, [args.seed, fold], args.jobs)
         if args.perturb:
             test_part = _perturb_corpus(test_part, args.perturb, args.rate, [args.seed, 101, fold])
         hits = 0
@@ -213,11 +175,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
     model = bundle.model_for(args.class_name)
     rng = np.random.default_rng(args.seed)
-    instances = []
-    for _ in range(args.count):
-        k = args.size if args.size is not None else draw_size(model, rng)
-        network = sample_network(model, k, rng)
-        instances.append(realize_timestamps(network, label=args.class_name))
+    instances = [
+        sample_instance(model, rng, label=args.class_name, size=args.size) for _ in range(args.count)
+    ]
     save_instances(
         Corpus(instances=instances, vocab=list(bundle.vocab), classes=[args.class_name]),
         args.out,

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
-from .generate import ClassModel, draw_size, realize_timestamps, sample_network
+from .generate import ClassModel, sample_instance
 from .network import Instance, Interval
 
 __all__ = [
@@ -89,16 +89,16 @@ def load_instances(path) -> Corpus:
                 raise ParseError(line_no, f"label must be a string, got {label!r}")
             intervals = []
             for entry in record["intervals"]:
-                if not isinstance(entry, dict) or not isinstance(entry.get("action"), str):
-                    raise ParseError(line_no, "interval must be an object with a string 'action'")
+                name = entry.get("action") if isinstance(entry, dict) else None
+                if not isinstance(name, str) or not name:
+                    raise ParseError(line_no, "interval must be an object with a non-empty string 'action'")
                 start = _require_number(entry.get("start"), line_no, "start")
                 end = _require_number(entry.get("end"), line_no, "end")
                 if start >= end:
                     raise DegenerateInterval(
                         f"line {line_no}: interval [{start}, {end}] of "
-                        f"action {entry['action']!r} has start >= end"
+                        f"action {name!r} has start >= end"
                     )
-                name = entry["action"]
                 if name not in action_ids:
                     action_ids[name] = len(vocab) + 1
                     vocab.append(name)
@@ -240,11 +240,7 @@ def build_synthetic_corpus(
         if list(class_models[name].action_vocab) != vocab:
             raise ValueError("all class models must share one action vocabulary")
     rng = np.random.default_rng(seed)
-    instances = []
-    for name in names:
-        model = class_models[name]
-        for _ in range(per_class):
-            k = draw_size(model, rng)
-            network = sample_network(model, k, rng)
-            instances.append(realize_timestamps(network, label=name))
+    instances = [
+        sample_instance(class_models[name], rng, label=name) for name in names for _ in range(per_class)
+    ]
     return Corpus(instances=instances, vocab=vocab, classes=names)

@@ -11,31 +11,32 @@ A class model couples three ingredients:
   keyed by the two actions and by the interval-relation constraint active for
   that pair, so a sampled relation can never contradict what is already fixed.
 
-Sampling walks nodes in order; after seating node ``n`` every link
-``(n', n)`` is resolved from nearest to farthest predecessor, which keeps the
-constraint products well-defined.  Networks built this way are always
-temporally consistent, and ``realize_timestamps`` turns one into concrete
-integer timestamps by constructive search.
+Sampling follows the walk of :func:`~ibgn.network.resolve_constraints`: node
+``n`` is seated when the walk reaches ``(n - 1, n)``, and each link ``(n', n)``
+is drawn inside the constraint composed from the pairs resolved before it.
+``realize_timestamps`` turns a network into integer timestamps by constructive
+search, and ``sample_instance`` runs the size -> network -> timestamps loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import RelationSet, relation_of
-from .network import Instance, Interval, IntervalNetwork, StructureMask, compute_constraint
+from .algebra import BaseRelation, RelationSet, relation_of
+from .network import Instance, Interval, IntervalNetwork, StructureMask, resolve_constraints
+from .network import compute_constraint  # noqa: F401 - perfbench/tracing.py rebinds this name
 
 __all__ = [
     "ClassModel",
-    "GenerationState",
     "crp_table_distribution",
-    "sample_node",
+    "seat_next",
     "sample_network",
     "realize_timestamps",
+    "sample_instance",
 ]
 
 
@@ -81,6 +82,9 @@ class ClassModel:
             raise ValueError(f"table budget {self.ell} must equal k_star {self.k_star} >= 1")
         if self.M < 1:
             raise ValueError("empty action vocabulary")
+        for name, values in (("alpha", self.alpha), ("beta", self.beta), ("theta", self.theta)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha.shape != (self.ell,) or np.any(self.alpha <= 0):
             raise ValueError("alpha must be a positive vector of length ell")
         if self.beta.shape != (self.ell, self.M) or np.any(self.beta <= 0):
@@ -93,6 +97,8 @@ class ClassModel:
             members = RelationSet(bits)
             if not (1 <= i <= self.M and 1 <= j <= self.M):
                 raise ValueError(f"phi key ({i}, {j}) outside the vocabulary")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"phi vector for {(i, j, bits)} must be finite")
             if len(vec) != len(members) or np.any(vec < 0):
                 raise ValueError(f"phi vector for {(i, j, bits)} has wrong support")
             if abs(float(vec.sum()) - 1.0) > 1e-9:
@@ -105,16 +111,6 @@ class ClassModel:
         for i, j in self.structure.links:
             if j >= self.k_star:
                 raise ValueError(f"structure link ({i}, {j}) outside k_star nodes")
-
-
-@dataclass
-class GenerationState:
-    """Mutable scratch state while sampling one network."""
-
-    tables: List[int] = field(default_factory=list)
-    actions: List[int] = field(default_factory=list)
-    occupancy: List[float] = field(default_factory=list)
-    x: Dict[Tuple[int, int], RelationSet] = field(default_factory=dict)
 
 
 def crp_table_distribution(
@@ -132,7 +128,6 @@ def crp_table_distribution(
     mass is redistributed proportionally by renormalizing over the occupied
     tables.  The returned vector sums to 1.
     """
-    alpha = np.asarray(alpha, dtype=float)
     budget = len(alpha)
     occupied = len(occupancy)
     if occupied > budget:
@@ -167,71 +162,68 @@ def draw_size(model: ClassModel, rng: np.random.Generator) -> int:
     return sizes[_draw(probs, rng)][0]
 
 
-def sample_node(
-    state: GenerationState, model: ClassModel, rng: np.random.Generator
-) -> Tuple[int, int]:
-    """Seat the next node and draw its action; returns (table, action id)."""
-    position = len(state.tables) + 1
-    table = _draw(crp_table_distribution(state.occupancy, position, model.alpha), rng)
-    if table == len(state.occupancy):
-        state.occupancy.append(1.0)
+def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw the next node's table from the seating prior and count it in ``occupancy``."""
+    table = _draw(crp_table_distribution(occupancy, int(sum(occupancy)) + 1, alpha), rng)
+    if table == len(occupancy):
+        occupancy.append(1.0)
     else:
-        state.occupancy[table] += 1.0
-    action = _draw(model.theta[table], rng) + 1
-    state.tables.append(table)
-    state.actions.append(action)
-    return table, action
+        occupancy[table] += 1.0
+    return table
 
 
 def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
-    """Sample a consistent k-node network: actions plus link relations.
+    """Sample a k-node network: actions plus link relations.
 
     Relations are drawn only for structure links; every draw is restricted to
     the pair's interval-relation constraint (falling back to a uniform choice
     within the constraint when the phi key was never seen in training), so
-    the network can always be realized by timestamps.  Non-link pairs retain
-    their constraint sets internally but carry no relation in the output.
+    under a chain or full mask the network can always be realized by
+    timestamps.  Non-link pairs keep their constraint sets internally but
+    carry no relation in the output.
     """
     if not 1 <= k <= model.k_star:
         raise ValueError(f"cannot sample {k} nodes from a model with k_star {model.k_star}")
-    state = GenerationState()
-    relations: Dict[Tuple[int, int], "object"] = {}
-    for n in range(k):
-        sample_node(state, model, rng)
-        for n_prime in range(n - 1, -1, -1):
-            constraint = compute_constraint(state.x, n_prime, n)
-            if (n_prime, n) in model.structure:
-                members = constraint.members
-                vec = model.phi.get((state.actions[n_prime], state.actions[n], constraint.bits))
-                if vec is None:
-                    probs = np.full(len(members), 1.0 / len(members))
-                else:
-                    probs = vec
-                relation = members[_draw(probs, rng)]
-                state.x[(n_prime, n)] = RelationSet.of(relation)
-                relations[(n_prime, n)] = relation
-            else:
-                state.x[(n_prime, n)] = constraint
-    return IntervalNetwork(actions=tuple(state.actions), relations=dict(relations))
+    occupancy: List[float] = []
+
+    def next_action() -> int:
+        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1
+
+    actions = [next_action()]
+    x: Dict[Tuple[int, int], RelationSet] = {}
+    relations = {}
+    for n_prime, n, constraint in resolve_constraints(k, x):
+        if n_prime == n - 1:
+            actions.append(next_action())
+        if (n_prime, n) in model.structure:
+            members = constraint.members
+            probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
+            if probs is None:
+                probs = np.full(len(members), 1.0 / len(members))
+            relation = members[_draw(probs, rng)]
+            x[(n_prime, n)] = RelationSet.of(relation)
+            relations[(n_prime, n)] = relation
+    return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
     """Assign integer timestamps realizing a sampled network.
 
-    Reconstructs the constraint matrix the sampler left behind (singletons on
-    pairs that carry a relation, constraint sets elsewhere), then searches
-    for interval placements on the grid ``0 .. 2k`` — ample, since ``k``
-    intervals need at most ``2k`` distinct endpoint values.  The search is
-    deterministic: candidates are tried in lexicographic order, so a given
-    network always realizes to the same instance.
+    A constraint walk (singletons on pairs with a relation) raises
+    :class:`~ibgn.errors.EmptyConstraint` for an inconsistent network before
+    the search places intervals on the grid ``0 .. 2k``, which holds any
+    ``k`` intervals.  Only fixed relations are checked: any other entry of
+    the walk intersects exact compositions of entries between placed nodes,
+    so it holds too.  Candidates go in lexicographic order: deterministic.
     """
     k = network.size
     x: Dict[Tuple[int, int], RelationSet] = {}
-    for n in range(1, k):
-        for n_prime in range(n - 1, -1, -1):
-            constraint = compute_constraint(x, n_prime, n)
-            relation = network.relations.get((n_prime, n))
-            x[(n_prime, n)] = RelationSet.of(relation) if relation is not None else constraint
+    fixed: List[List[Tuple[int, BaseRelation]]] = [[] for _ in range(k)]
+    for n_prime, n, _constraint in resolve_constraints(k, x):
+        relation = network.relations.get((n_prime, n))
+        if relation is not None:
+            x[(n_prime, n)] = RelationSet.of(relation)
+            fixed[n].append((n_prime, relation))  # nearest first: rejects soonest
 
     candidates = list(combinations(range(2 * k + 1), 2))
     chosen: List[Tuple[int, int]] = []
@@ -239,8 +231,8 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
     def admissible(candidate: Tuple[int, int], n: int) -> bool:
         if chosen and candidate < chosen[-1]:
             return False  # would break canonical node order
-        for p in range(n):
-            if relation_of(chosen[p], candidate) not in x[(p, n)]:
+        for p, relation in fixed[n]:
+            if relation_of(chosen[p], candidate) != relation:
                 return False
         return True
 
@@ -262,3 +254,11 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
         for n, (s, e) in enumerate(chosen)
     )
     return Instance(label=label, intervals=intervals)
+
+
+def sample_instance(
+    model: ClassModel, rng: np.random.Generator, label: Optional[str] = None, size: Optional[int] = None
+) -> Instance:
+    """One realized network of ``size`` nodes (default: drawn from the size histogram)."""
+    k = draw_size(model, rng) if size is None else size
+    return realize_timestamps(sample_network(model, k, rng), label=label)

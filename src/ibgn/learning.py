@@ -26,6 +26,7 @@ comparison, which makes the per-link decision globally optimal.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,8 +35,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import RelationSet
+from .dataset import Corpus
 from .errors import ConfigInvalid, DomainError, EmptyCorpus
-from .generate import ClassModel, _draw, crp_table_distribution
+from .generate import ClassModel, _draw, seat_next
+from .model_io import ModelBundle
 from .network import (
     NULL_ACTION,
     Instance,
@@ -61,6 +64,7 @@ __all__ = [
     "bic_family_score",
     "learn_structure",
     "train_class_model",
+    "train_bundle",
 ]
 
 NULL_RELATION_CODE = 7  # relation variables take 7 real values plus null
@@ -372,13 +376,7 @@ def run_gibbs(
     for d in range(num_instances):
         seated: List[float] = []
         for n in range(len(actions[d])):
-            probs = crp_table_distribution(seated, n + 1, state.alpha)
-            z = _draw(probs, rng)
-            if z == len(seated):
-                seated.append(1.0)
-            else:
-                seated[z] += 1.0
-            _seat(state, d, n, z)
+            _seat(state, d, n, seat_next(seated, state.alpha, rng))
 
     avg_na = np.zeros_like(state.action_counts)
     avg_nt = np.zeros_like(state.occupancy)
@@ -599,3 +597,32 @@ def train_class_model(
     # diagnostic breadcrumb for the CLI summary; not part of the model proper
     model.occupied_tables = int(np.sum(result.averaged_nt.sum(axis=0) > 0.5))
     return model
+
+
+def _fit_class(payload) -> Tuple[str, ClassModel]:
+    name, instances, vocab, config, seed_key = payload
+    return name, train_class_model(instances, vocab, config, np.random.default_rng(seed_key))
+
+
+def train_bundle(
+    corpus: Corpus, config: TrainConfig, seed_key: Sequence[int], jobs: int = 1
+) -> ModelBundle:
+    """Fit one model per class of ``corpus``; fan out over processes when jobs > 1.
+
+    Seed rule: class ``idx`` of ``corpus.classes`` trains with the rng
+    ``default_rng(seed_key + [idx])`` and results are merged in class order,
+    so the bundle does not depend on ``jobs`` or on worker scheduling.
+    """
+    groups = corpus.by_class()
+    if not groups:
+        raise EmptyCorpus("corpus has no labeled instances")
+    payloads = [
+        (name, groups[name], corpus.vocab, config, list(seed_key) + [idx])
+        for idx, name in enumerate(corpus.classes)
+    ]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            models = dict(pool.map(_fit_class, payloads))
+    else:
+        models = dict(map(_fit_class, payloads))
+    return ModelBundle(vocab=list(corpus.vocab), classes=list(corpus.classes), models=models)

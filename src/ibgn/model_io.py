@@ -110,7 +110,8 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`; raise
-    :class:`~ibgn.errors.BundleInvalid` for another schema version or shape."""
+    :class:`~ibgn.errors.BundleInvalid` for another schema version or shape,
+    or for parameters that do not decode or do not validate."""
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
@@ -124,6 +125,6 @@ def load_bundle(path) -> ModelBundle:
         models = {name: _decode_model(document["models"][name], vocab) for name in classes}
     except KeyError as exc:
         raise BundleInvalid(f"model bundle has no entry {exc}") from exc
-    except (AttributeError, IndexError, TypeError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise BundleInvalid(f"malformed model bundle: {exc}") from exc
     return ModelBundle(vocab=vocab, classes=classes, models=models)

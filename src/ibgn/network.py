@@ -11,7 +11,8 @@ around it.  Pairs of adjacent nodes are unconstrained; for the rest the
 constraint is the intersection, over every intermediate node, of the
 composition of the flanking entries.  Resolving pairs in ascending order of
 the later node and descending order of the earlier node guarantees every
-entry a product needs has already been resolved.
+entry a product needs has already been resolved: ``resolve_constraints``,
+the one walk behind the link scan, network sampling and realization.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "instance_to_network",
     "check_consistency",
     "compute_constraint",
+    "resolve_constraints",
     "scan_link_constraints",
     "pad_nulls",
 ]
@@ -224,6 +226,20 @@ def compute_constraint(
     return constraint
 
 
+def resolve_constraints(
+    size: int, x: Dict[Tuple[int, int], RelationSet]
+) -> Iterator[Tuple[int, int, RelationSet]]:
+    """Yield ``(n', n, compute_constraint(x, n', n))`` for ascending ``n`` and,
+    within each ``n``, descending ``n'``; after each yield the constraint is
+    stored as ``x[(n', n)]`` unless the caller stored a relation's singleton
+    there first."""
+    for n in range(1, size):
+        for n_prime in range(n - 1, -1, -1):
+            constraint = compute_constraint(x, n_prime, n)
+            yield n_prime, n, constraint
+            x.setdefault((n_prime, n), constraint)
+
+
 def scan_link_constraints(
     network: IntervalNetwork,
     mask: StructureMask,
@@ -245,15 +261,11 @@ def scan_link_constraints(
         while observed and network.actions[observed - 1] == NULL_ACTION:
             observed -= 1
     x: Dict[Tuple[int, int], RelationSet] = {}
-    for n in range(1, observed):
-        for n_prime in range(n - 1, -1, -1):
-            constraint = compute_constraint(x, n_prime, n)
-            if (n_prime, n) in mask:
-                relation = network.relations[(n_prime, n)]
-                x[(n_prime, n)] = RelationSet.of(relation)
-                yield n_prime, n, constraint, relation
-            else:
-                x[(n_prime, n)] = constraint
+    for n_prime, n, constraint in resolve_constraints(observed, x):
+        if (n_prime, n) in mask:
+            relation = network.relations[(n_prime, n)]
+            x[(n_prime, n)] = RelationSet.of(relation)
+            yield n_prime, n, constraint, relation
 
 
 def pad_nulls(instance: Instance, target_length: int) -> Instance:

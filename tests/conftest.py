@@ -96,6 +96,7 @@ def random_model(rng: np.random.Generator, vocab_size: int = 3, k_star: int = 5)
 
 MALFORMED_BUNDLE_CASES = (
     "no_models", "top_level_list", "class_without_model", "model_without_phi", "classes_not_a_list",
+    "nan_phi", "nan_alpha", "inf_beta",
 )
 
 
@@ -103,7 +104,7 @@ def malformed_bundle(valid: dict, case: str):
     """A copy of a saved bundle document, broken in the way ``case`` names.
 
     Every case keeps the supported schema version where it has one, so only
-    the document's shape is wrong.
+    the document's shape or one parameter's value is wrong.
     """
     document = copy.deepcopy(valid)
     if case == "no_models":
@@ -116,6 +117,14 @@ def malformed_bundle(valid: dict, case: str):
         del document["models"][document["classes"][0]]["phi"]
     elif case == "classes_not_a_list":
         document["classes"] = 5
+    elif case in ("nan_phi", "nan_alpha", "inf_beta"):
+        model = document["models"][document["classes"][0]]
+        if case == "nan_phi":
+            model["phi"][0]["probs"] = ["nan"] * len(model["phi"][0]["probs"])
+        elif case == "nan_alpha":
+            model["alpha"] = ["nan"] * len(model["alpha"])
+        else:
+            model["beta"][0][0] = "inf"
     else:
         raise ValueError(case)
     return document

@@ -43,10 +43,10 @@ from ibgn import (
     sample_network,
     save_bundle,
     scan_link_constraints,
+    train_bundle,
     train_class_model,
     update_hyperparams,
 )
-from ibgn.cli import _train_models
 from ibgn.dataset import Corpus, perturb_labels
 from ibgn.generate import ClassModel
 from ibgn.learning import SamplerState
@@ -369,7 +369,7 @@ def test_criterion_10_end_to_end_classification_and_label_noise():
         config = TrainConfig(structure="learned")
         sums = {rate: 0.0 for rate in rates}
         for seed in range(5):
-            bundle = _train_models(train_corpus, config, jobs=1, seed_key=[seed])
+            bundle = train_bundle(train_corpus, config, seed_key=[seed], jobs=1)
             fitted = [(name, bundle.models[name]) for name in bundle.classes]
             for rate in rates:
                 noisy = perturb_labels(
@@ -397,7 +397,7 @@ def test_criterion_11_determinism_and_round_trip(tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         bundles = []
         for path in paths:
-            bundle = _train_models(corpus, config, jobs=1, seed_key=[42])
+            bundle = train_bundle(corpus, config, seed_key=[42], jobs=1)
             save_bundle(path, bundle)
             bundles.append(bundle)
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -83,6 +83,7 @@ class TestLoadInstances:
             ('{"intervals": [{"action": "a", "start": true, "end": 1}]}', "line 2"),
             ('{"intervals": [{"action": "a", "end": 1}]}', "line 2"),
             ('{"intervals": [{"action": "a", "start": NaN, "end": 1}]}', "line 2"),
+            ('{"intervals": [{"action": "", "start": 0, "end": 1}]}', "line 2"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, line, fragment):

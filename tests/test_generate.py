@@ -3,24 +3,87 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibgn import (
+    BaseRelation,
     ClassModel,
     FULL_SET,
+    Instance,
+    Interval,
+    IntervalNetwork,
+    RelationSet,
     StructureMask,
     check_consistency,
+    compute_constraint,
     crp_table_distribution,
     instance_to_network,
     realize_timestamps,
     relation_of,
+    sample_instance,
     sample_network,
     scan_link_constraints,
+    seat_next,
 )
-from conftest import random_model, two_class_models, uniform_model
+from ibgn.errors import EmptyConstraint
+from ibgn.generate import draw_size
+from conftest import random_actions_instance, random_model, two_class_models, uniform_model
+
+
+def reference_realize(network: IntervalNetwork, label=None) -> Instance:
+    """Oracle for ``realize_timestamps``: the same lexicographic search, but
+    every placement is checked against the whole constraint matrix (the
+    singleton of each fixed relation, the composed constraint elsewhere)."""
+    k = network.size
+    x = {}
+    for n in range(1, k):
+        for n_prime in range(n - 1, -1, -1):
+            constraint = compute_constraint(x, n_prime, n)
+            relation = network.relations.get((n_prime, n))
+            x[(n_prime, n)] = RelationSet.of(relation) if relation is not None else constraint
+    candidates = list(combinations(range(2 * k + 1), 2))
+    chosen = []
+
+    def search(n):
+        if n == k:
+            return True
+        for candidate in candidates:
+            if chosen and candidate < chosen[-1]:
+                continue
+            if all(relation_of(chosen[p], candidate) in x[(p, n)] for p in range(n)):
+                chosen.append(candidate)
+                if search(n + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not search(0):
+        raise RuntimeError("no integer realization found for a consistent network")
+    intervals = tuple(
+        Interval(action=network.actions[n], start=float(s), end=float(e))
+        for n, (s, e) in enumerate(chosen)
+    )
+    return Instance(label=label, intervals=intervals)
+
+
+def oracle_networks(count_per_kind: int = 80):
+    """Networks with k <= 7: sampled from chain-mask and full-mask models, and
+    observed networks of random instances kept only on a random mask."""
+    rng = np.random.default_rng(404)
+    for index in range(count_per_kind):
+        k_star = int(rng.integers(2, 8))
+        k = int(rng.integers(1, k_star + 1))
+        for structure in ("chain", "full"):
+            model = random_model(np.random.default_rng([404, index]), vocab_size=3, k_star=k_star)
+            mask = StructureMask.chain(k_star) if structure == "chain" else StructureMask.full(k_star)
+            yield sample_network(dataclasses.replace(model, structure=mask), k, rng)
+        observed = instance_to_network(random_actions_instance(rng, k, vocab_size=3))
+        kept = {pair: rel for pair, rel in observed.relations.items() if rng.random() < 0.5}
+        yield IntervalNetwork(actions=observed.actions, relations=kept)
 
 
 class TestCrpTableDistribution:
@@ -71,6 +134,33 @@ class TestCrpTableDistribution:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         expected_len = min(len(counts) + 1, budget)
         assert len(probs) == expected_len
+
+
+class TestSeatNext:
+    def test_draws_from_the_prior_and_counts_the_seat(self):
+        alpha = np.array([1.0, 2.0, 0.5])
+        occupancy = [2.0]
+        probs = crp_table_distribution(occupancy, 3, alpha)
+        rng = np.random.default_rng(5)
+        r = np.random.default_rng(5).random()
+        table = seat_next(occupancy, alpha, rng)
+        assert table == (0 if r < probs[0] else 1)
+        assert sum(occupancy) == 3.0 and occupancy[table] >= 1.0
+
+    def test_first_seat_opens_the_first_table(self):
+        occupancy = []
+        assert seat_next(occupancy, np.ones(2), np.random.default_rng(0)) == 0
+        assert occupancy == [1.0]
+
+
+class TestSampleInstance:
+    def test_draws_size_then_network_then_timestamps(self):
+        model = random_model(np.random.default_rng(31), vocab_size=3, k_star=5)
+        for size in (None, 3):
+            rng = np.random.default_rng(8)
+            k = draw_size(model, rng) if size is None else size
+            want = realize_timestamps(sample_network(model, k, rng), label="c")
+            assert sample_instance(model, np.random.default_rng(8), label="c", size=size) == want
 
 
 class TestSampleNetwork:
@@ -152,6 +242,31 @@ class TestRealizeTimestamps:
         model = random_model(rng, vocab_size=3, k_star=4)
         net = sample_network(model, k=4, rng=rng)
         assert realize_timestamps(net) == realize_timestamps(net)
+
+    def test_matches_full_matrix_oracle(self):
+        networks = list(oracle_networks())
+        assert len(networks) >= 200
+        for net in networks:
+            assert realize_timestamps(net, label="x") == reference_realize(net, label="x")
+
+    def test_inconsistent_network_raises_before_search(self):
+        b, eq = BaseRelation.BEFORE, BaseRelation.EQUALS
+        net = IntervalNetwork(
+            actions=(1, 1, 1, 1),
+            relations={(0, 1): b, (1, 2): b, (0, 2): eq, (2, 3): eq},
+        )
+        with pytest.raises(EmptyConstraint):
+            reference_realize(net)
+        with pytest.raises(EmptyConstraint):
+            realize_timestamps(net)
+
+    def test_unrealizable_network_fails_like_oracle(self):
+        b, eq = BaseRelation.BEFORE, BaseRelation.EQUALS
+        net = IntervalNetwork(actions=(1, 1, 1), relations={(0, 1): b, (1, 2): b, (0, 2): eq})
+        with pytest.raises(RuntimeError):
+            reference_realize(net)
+        with pytest.raises(RuntimeError):
+            realize_timestamps(net)
 
 
 class TestClassModelValidation:

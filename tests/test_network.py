@@ -22,6 +22,7 @@ from ibgn import (
     instance_to_network,
     pad_nulls,
     relation_of,
+    resolve_constraints,
     scan_link_constraints,
 )
 from ibgn.errors import EmptyConstraint, InstanceTooLong, OrderViolation
@@ -170,6 +171,30 @@ class TestStructureMask:
 
     def test_chain_of_one_is_empty(self):
         assert len(StructureMask.chain(1)) == 0
+
+
+class TestResolveConstraints:
+    def test_order_and_stored_constraints(self):
+        x = {}
+        rows = list(resolve_constraints(4, x))
+        # target node ascending, source node descending
+        assert [(i, j) for i, j, _ in rows] == [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
+        assert all(x[(i, j)] == constraint for i, j, constraint in rows)
+
+    def test_entry_stored_by_caller_is_kept(self):
+        x = {}
+        before = RelationSet.of(B)
+        rows = {}
+        for n_prime, n, constraint in resolve_constraints(3, x):
+            rows[(n_prime, n)] = constraint
+            if n == n_prime + 1:
+                x[(n_prime, n)] = before
+        assert x[(0, 1)] == x[(1, 2)] == before
+        assert rows[(0, 2)] == x[(0, 2)] == compose_sets(before, before)
+
+    def test_single_node_yields_nothing(self):
+        x = {}
+        assert list(resolve_constraints(1, x)) == [] and x == {}
 
 
 class TestScanLinkConstraints:
