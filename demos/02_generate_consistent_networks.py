@@ -14,13 +14,13 @@ import numpy as np
 
 from ibgn import (
     ClassModel,
+    ConstraintMatrix,
     FULL_SET,
     RelationSet,
     StructureMask,
     check_consistency,
     instance_to_network,
     realize_timestamps,
-    resolve_constraints,
     sample_network,
 )
 
@@ -58,11 +58,10 @@ def build_model(k_star: int = 5) -> ClassModel:
 def implied_constraints(network):
     """Constraint matrix the sampler worked under: singletons on links,
     composed constraint sets everywhere else (nodes are 0-based)."""
-    x = {}
-    for p, n, _constraint in resolve_constraints(network.size, x):
-        rel = network.relations.get((p, n))
-        if rel is not None:
-            x[(p, n)] = RelationSet.of(rel)
+    x = ConstraintMatrix(
+        (pair, RelationSet.of(rel)) for pair, rel in network.relations.items()
+    )
+    x[(0, network.size - 1)]  # reading the widest pair fills every pair inside it
     return x
 
 

@@ -61,6 +61,7 @@ from .learning import (
 from .model_io import ModelBundle, load_bundle, save_bundle
 from .network import (
     ConsistencyReport,
+    ConstraintMatrix,
     Instance,
     Interval,
     IntervalNetwork,
@@ -70,7 +71,7 @@ from .network import (
     compute_constraint,
     instance_to_network,
     pad_nulls,
-    resolve_constraints,
+    resolution_order,
     scan_link_constraints,
 )
 from . import errors

@@ -67,6 +67,8 @@ class BaseRelation(IntEnum):
 
 _SYMBOLS = ("b", "m", "o", "s", "c", "f", "eq")
 _SYMBOL_TO_RELATION = {sym: BaseRelation(i) for i, sym in enumerate(_SYMBOLS)}
+# the set bits of every 7-bit mask, ascending
+_BIT_POSITIONS = tuple(tuple(i for i in range(7) if bits >> i & 1) for bits in range(0x80))
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,7 @@ class RelationSet:
         return bool(self.bits >> BaseRelation(rel).value & 1)
 
     def __iter__(self) -> Iterator[BaseRelation]:
-        for i in range(7):
-            if self.bits >> i & 1:
-                yield BaseRelation(i)
+        return (BaseRelation(i) for i in _BIT_POSITIONS[self.bits])
 
     def __len__(self) -> int:
         return bin(self.bits).count("1")
@@ -196,10 +196,10 @@ def compose_sets(set1: RelationSet, set2: RelationSet) -> RelationSet:
     if not set1 or not set2:
         raise EmptyRelationSet("compose_sets requires non-empty operands")
     bits = 0
-    for r1 in set1:
-        row = _COMPOSE_BITS[r1.value]
-        for r2 in set2:
-            bits |= row[r2.value]
+    for i in _BIT_POSITIONS[set1.bits]:
+        row = _COMPOSE_BITS[i]
+        for j in _BIT_POSITIONS[set2.bits]:
+            bits |= row[j]
     return RelationSet(bits)
 
 

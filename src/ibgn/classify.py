@@ -60,12 +60,7 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
             Instance(label=instance.label, intervals=tuple(observed[:prefix]))
         )
         for n_prime, n, constraint, relation in scan_link_constraints(network, model.structure):
-            left, right = ids[n_prime], ids[n]
-            vec = (
-                model.phi.get((left, right, constraint.bits))
-                if left is not None and right is not None
-                else None
-            )
+            vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action
             if vec is None:
                 score += math.log(1.0 / len(constraint))
             else:

@@ -32,6 +32,10 @@ class EmptyConstraint(IbgnError, RuntimeError):
     """A derived interval-relation constraint came out empty."""
 
 
+class Unrealizable(IbgnError, RuntimeError):
+    """A network's relations admit no placement of its intervals on a timeline."""
+
+
 class InstanceTooLong(IbgnError, ValueError):
     """An instance exceeds the padding target length."""
 

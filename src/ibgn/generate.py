@@ -11,11 +11,11 @@ A class model couples three ingredients:
   keyed by the two actions and by the interval-relation constraint active for
   that pair, so a sampled relation can never contradict what is already fixed.
 
-Sampling follows the walk of :func:`~ibgn.network.resolve_constraints`: node
-``n`` is seated when the walk reaches ``(n - 1, n)``, and each link ``(n', n)``
-is drawn inside the constraint composed from the pairs resolved before it.
-``realize_timestamps`` turns a network into integer timestamps by constructive
-search, and ``sample_instance`` runs the size -> network -> timestamps loop.
+Sampling visits the pairs in :func:`~ibgn.network.resolution_order`, seating
+node ``n`` at ``(n - 1, n)`` and drawing each link inside the constraint its
+:class:`~ibgn.network.ConstraintMatrix` allows.  ``realize_timestamps`` turns
+a network into integer timestamps by constructive search, and
+``sample_instance`` runs the size -> network -> timestamps loop.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import BaseRelation, RelationSet, relation_of
-from .network import Instance, Interval, IntervalNetwork, StructureMask, resolve_constraints
-from .network import compute_constraint  # noqa: F401 - perfbench/tracing.py rebinds this name
+from .errors import Unrealizable
+from .network import ConstraintMatrix, Instance, Interval, IntervalNetwork, StructureMask
+from .network import compute_constraint, resolution_order
 
 __all__ = [
     "ClassModel",
@@ -179,8 +180,7 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     the pair's interval-relation constraint (falling back to a uniform choice
     within the constraint when the phi key was never seen in training), so
     under a chain or full mask the network can always be realized by
-    timestamps.  Non-link pairs keep their constraint sets internally but
-    carry no relation in the output.
+    timestamps.  Non-link pairs carry no relation in the output.
     """
     if not 1 <= k <= model.k_star:
         raise ValueError(f"cannot sample {k} nodes from a model with k_star {model.k_star}")
@@ -190,12 +190,13 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1
 
     actions = [next_action()]
-    x: Dict[Tuple[int, int], RelationSet] = {}
+    x = ConstraintMatrix()
     relations = {}
-    for n_prime, n, constraint in resolve_constraints(k, x):
+    for n_prime, n in resolution_order(0, k - 1):
         if n_prime == n - 1:
             actions.append(next_action())
         if (n_prime, n) in model.structure:
+            constraint = compute_constraint(x, n_prime, n)
             members = constraint.members
             probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
             if probs is None:
@@ -206,49 +207,48 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
+def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tuple[int, int]]) -> bool:
+    """Depth-first placement of one interval per node; not a closure, so no cycle keeps frames alive."""
+    n = len(chosen)
+    if n == len(fixed):
+        return True
+    for candidate in candidates:
+        if chosen and candidate < chosen[-1]:
+            continue  # would break canonical node order
+        for p, relation in fixed[n]:
+            if relation_of(chosen[p], candidate) != relation:
+                break
+        else:
+            chosen.append(candidate)
+            if _place(chosen, fixed, candidates):
+                return True
+            chosen.pop()
+    return False
+
+
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
     """Assign integer timestamps realizing a sampled network.
 
-    A constraint walk (singletons on pairs with a relation) raises
-    :class:`~ibgn.errors.EmptyConstraint` for an inconsistent network before
-    the search places intervals on the grid ``0 .. 2k``, which holds any
-    ``k`` intervals.  Only fixed relations are checked: any other entry of
-    the walk intersects exact compositions of entries between placed nodes,
-    so it holds too.  Candidates go in lexicographic order: deterministic.
+    Every pair's constraint is computed first, so an inconsistent network
+    raises :class:`~ibgn.errors.EmptyConstraint` before the search places
+    intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
+    ``k`` intervals), checking only the fixed relations, which imply the
+    rest.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`.
     """
     k = network.size
-    x: Dict[Tuple[int, int], RelationSet] = {}
+    x = ConstraintMatrix((pair, RelationSet.of(r)) for pair, r in network.relations.items())
     fixed: List[List[Tuple[int, BaseRelation]]] = [[] for _ in range(k)]
-    for n_prime, n, _constraint in resolve_constraints(k, x):
+    for n_prime, n in resolution_order(0, k - 1):
         relation = network.relations.get((n_prime, n))
-        if relation is not None:
-            x[(n_prime, n)] = RelationSet.of(relation)
+        if relation is None:
+            x[(n_prime, n)]  # composed on this first read; raises if it empties
+        else:
+            compute_constraint(x, n_prime, n)  # raises if the pairs inside exclude every relation
             fixed[n].append((n_prime, relation))  # nearest first: rejects soonest
 
-    candidates = list(combinations(range(2 * k + 1), 2))
     chosen: List[Tuple[int, int]] = []
-
-    def admissible(candidate: Tuple[int, int], n: int) -> bool:
-        if chosen and candidate < chosen[-1]:
-            return False  # would break canonical node order
-        for p, relation in fixed[n]:
-            if relation_of(chosen[p], candidate) != relation:
-                return False
-        return True
-
-    def search(n: int) -> bool:
-        if n == k:
-            return True
-        for candidate in candidates:
-            if admissible(candidate, n):
-                chosen.append(candidate)
-                if search(n + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        raise RuntimeError("no integer realization found for a consistent network")
+    if not _place(chosen, fixed, list(combinations(range(2 * k + 1), 2))):
+        raise Unrealizable("no placement of the intervals satisfies every relation of the network")
     intervals = tuple(
         Interval(action=network.actions[n], start=float(s), end=float(e))
         for n, (s, e) in enumerate(chosen)

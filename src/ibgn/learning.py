@@ -147,7 +147,6 @@ class SamplerState:
     assignments: List[List[int]]  # per instance, table index per node (-1 = unseated)
     action_counts: np.ndarray  # (ell, M) corpus-wide table/action counts
     row_totals: np.ndarray  # (ell,) row sums of action_counts
-    occupancy: np.ndarray  # (D, ell) per-instance table occupancy
     alpha: np.ndarray  # (ell,)
     beta: np.ndarray  # (ell, M)
     beta_rows: np.ndarray  # (ell,)
@@ -169,7 +168,6 @@ class SamplerState:
 @dataclass
 class GibbsResult:
     averaged_na: np.ndarray  # (ell, M) window-averaged table/action counts
-    averaged_nt: np.ndarray  # (D, ell) window-averaged per-instance occupancy
     alpha: np.ndarray
     beta: np.ndarray
     state: SamplerState
@@ -226,7 +224,6 @@ def _unseat(state: SamplerState, d: int, n: int) -> None:
     state.assignments[d][n] = -1
     state.action_counts[z, a] -= 1.0
     state.row_totals[z] -= 1.0
-    state.occupancy[d, z] -= 1.0
 
 
 def _seat(state: SamplerState, d: int, n: int, z: int) -> None:
@@ -234,7 +231,6 @@ def _seat(state: SamplerState, d: int, n: int, z: int) -> None:
     state.assignments[d][n] = z
     state.action_counts[z, a] += 1.0
     state.row_totals[z] += 1.0
-    state.occupancy[d, z] += 1.0
 
 
 def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -354,7 +350,6 @@ def run_gibbs(
         assignments=[[-1] * len(a) for a in actions],
         action_counts=np.zeros((ell, vocab_size)),
         row_totals=np.zeros(ell),
-        occupancy=np.zeros((num_instances, ell)),
         alpha=np.full(ell, float(config.alpha_init)),
         beta=np.full((ell, vocab_size), float(config.beta_init)),
         beta_rows=np.full(ell, float(config.beta_init) * vocab_size),
@@ -379,7 +374,6 @@ def run_gibbs(
             _seat(state, d, n, seat_next(seated, state.alpha, rng))
 
     avg_na = np.zeros_like(state.action_counts)
-    avg_nt = np.zeros_like(state.occupancy)
     for sweep in range(1, config.iterations + 1):
         for d in range(num_instances):
             for n in range(len(actions[d])):
@@ -389,11 +383,6 @@ def run_gibbs(
         if sweep <= config.burn_in:
             continue
         if sweep <= config.burn_in + config.avg_window:
-            occ = state.occupancy.astype(np.int64)
-            _add_histograms(state.window_table, occ)
-            first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
-            occ[np.arange(num_instances), first_seats] -= 1
-            _add_histograms(state.window_alpha, occ)
             node_table = np.asarray(
                 [t for assigned in state.assignments for t in assigned], dtype=np.int64
             )
@@ -402,15 +391,18 @@ def run_gibbs(
                 minlength=num_instances * cells,
             ).reshape(num_instances, ell, vocab_size)
             _add_histograms(state.window_action, per_instance)
+            occ = per_instance.sum(axis=2)
+            _add_histograms(state.window_table, occ)
+            first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
+            occ[np.arange(num_instances), first_seats] -= 1
+            _add_histograms(state.window_alpha, occ)
             state.window_sweeps += 1
             avg_na += state.action_counts
-            avg_nt += state.occupancy
         else:
             update_hyperparams(state, config)
 
     return GibbsResult(
         averaged_na=avg_na / state.window_sweeps,
-        averaged_nt=avg_nt / state.window_sweeps,
         alpha=state.alpha.copy(),
         beta=state.beta.copy(),
         state=state,
@@ -595,7 +587,7 @@ def train_class_model(
     )
     model.validate()
     # diagnostic breadcrumb for the CLI summary; not part of the model proper
-    model.occupied_tables = int(np.sum(result.averaged_nt.sum(axis=0) > 0.5))
+    model.occupied_tables = int(np.sum(result.averaged_na.sum(axis=1) > 0.5))
     return model
 
 

@@ -9,10 +9,10 @@ temporal information and their relations are null.
 of relations a node pair may take given everything already fixed between and
 around it.  Pairs of adjacent nodes are unconstrained; for the rest the
 constraint is the intersection, over every intermediate node, of the
-composition of the flanking entries.  Resolving pairs in ascending order of
-the later node and descending order of the earlier node guarantees every
-entry a product needs has already been resolved: ``resolve_constraints``,
-the one walk behind the link scan, network sampling and realization.
+composition of the flanking entries, so it depends only on the fixed
+entries inside its span.  ``ConstraintMatrix`` holds the fixed entries and
+computes any other one on first read, in ``resolution_order`` (later node
+ascending, earlier node descending), which lists a span's inner pairs first.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ __all__ = [
     "instance_to_network",
     "check_consistency",
     "compute_constraint",
-    "resolve_constraints",
+    "resolution_order",
+    "ConstraintMatrix",
     "scan_link_constraints",
     "pad_nulls",
 ]
@@ -226,18 +227,28 @@ def compute_constraint(
     return constraint
 
 
-def resolve_constraints(
-    size: int, x: Dict[Tuple[int, int], RelationSet]
-) -> Iterator[Tuple[int, int, RelationSet]]:
-    """Yield ``(n', n, compute_constraint(x, n', n))`` for ascending ``n`` and,
-    within each ``n``, descending ``n'``; after each yield the constraint is
-    stored as ``x[(n', n)]`` unless the caller stored a relation's singleton
-    there first."""
-    for n in range(1, size):
-        for n_prime in range(n - 1, -1, -1):
-            constraint = compute_constraint(x, n_prime, n)
-            yield n_prime, n, constraint
-            x.setdefault((n_prime, n), constraint)
+def resolution_order(first: int, last: int) -> Iterator[Tuple[int, int]]:
+    """Node pairs ``(n', n)`` with ``first <= n' < n <= last``, ``n`` ascending
+    and ``n'`` descending: every pair inside a pair's span comes before it."""
+    for n in range(first + 1, last + 1):
+        for n_prime in range(n - 1, first - 1, -1):
+            yield n_prime, n
+
+
+class ConstraintMatrix(dict):
+    """Constraint entries by node pair.  Callers store the singletons of fixed
+    relations; reading a missing pair fills the missing entries inside it in
+    :func:`resolution_order`, without recursion.  Store every fixed entry
+    inside a pair before reading it."""
+
+    def __missing__(self, pair: Tuple[int, int]) -> RelationSet:
+        first, last = pair
+        if not 0 <= first < last:
+            raise KeyError(pair)
+        for inner in resolution_order(first, last):
+            if inner not in self:
+                self[inner] = compute_constraint(self, *inner)
+        return self[pair]
 
 
 def scan_link_constraints(
@@ -245,27 +256,23 @@ def scan_link_constraints(
     mask: StructureMask,
     observed: Optional[int] = None,
 ) -> Iterator[Tuple[int, int, RelationSet, BaseRelation]]:
-    """Walk an observed network in resolution order, yielding link constraints.
+    """Replay an observed network's link constraints in resolution order.
 
     For every structure link ``(n', n)`` inside the observed prefix this
-    yields ``(n', n, constraint, relation)`` where ``relation`` is the
-    network's actual relation and ``constraint`` is what the partially
-    resolved matrix allows at that point — the exact quantity the relation
-    distributions are conditioned on, during both training and scoring.
-
-    Entries on links become singletons of the observed relation; entries off
-    the mask keep the computed constraint set.
+    yields ``(n', n, constraint, relation)``: the network's relation and the
+    constraint the links inside the pair's span allow (singletons of their
+    observed relations, composed where no link fixes an entry) — the exact
+    quantity the relation distributions are conditioned on, during both
+    training and scoring.
     """
     if observed is None:
         observed = network.size
         while observed and network.actions[observed - 1] == NULL_ACTION:
             observed -= 1
-    x: Dict[Tuple[int, int], RelationSet] = {}
-    for n_prime, n, constraint in resolve_constraints(observed, x):
-        if (n_prime, n) in mask:
-            relation = network.relations[(n_prime, n)]
-            x[(n_prime, n)] = RelationSet.of(relation)
-            yield n_prime, n, constraint, relation
+    links = [pair for pair in resolution_order(0, observed - 1) if pair in mask.links]
+    x = ConstraintMatrix((pair, RelationSet.of(network.relations[pair])) for pair in links)
+    for n_prime, n in links:
+        yield n_prime, n, compute_constraint(x, n_prime, n), network.relations[(n_prime, n)]
 
 
 def pad_nulls(instance: Instance, target_length: int) -> Instance:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import ibgn
 from ibgn import (
     ClassModel,
     FULL_SET,
@@ -20,6 +23,20 @@ from ibgn import (
     pad_nulls,
 )
 from ibgn.learning import _family_counts
+
+
+def child_env(**overrides):
+    """Environment for a Python child process that runs this same package.
+
+    The inherited environment is kept, but the ``src`` directory of the
+    ``ibgn`` that this process imported goes first on ``PYTHONPATH``, so the
+    child needs no installed copy and cannot pick up a different one.
+    """
+    env = dict(os.environ, **overrides)
+    src = str(Path(ibgn.__file__).resolve().parent.parent)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([src, inherited] if inherited else [src])
+    return env
 
 
 def tiny_config(**overrides) -> TrainConfig:

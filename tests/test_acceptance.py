@@ -293,7 +293,6 @@ def test_criterion_09_hyperparameter_fixed_point_and_digamma():
             assignments=[[0]],
             action_counts=action_counts[-1].sum(axis=0).astype(float),
             row_totals=action_counts[-1].sum(axis=(0, 2)).astype(float),
-            occupancy=np.zeros((1, ell)),
             alpha=np.ones(ell),
             beta=np.full((ell, m), 0.5),
             beta_rows=np.full(ell, 1.0),

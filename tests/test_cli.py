@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-import ibgn
-from ibgn import ModelBundle, load_bundle, load_instances, save_bundle, save_instances
+from ibgn import (
+    ModelBundle, StructureMask, load_bundle, load_instances, save_bundle, save_instances,
+)
 from ibgn.cli import main
 from ibgn.dataset import build_synthetic_corpus
-from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, two_class_models
+from conftest import (
+    MALFORMED_BUNDLE_CASES, child_env, malformed_bundle, random_model, two_class_models,
+)
 
 TRAIN_FLAGS = [
     "--structure", "chain", "--iters", "30", "--burnin", "5", "--avg-window", "20",
@@ -284,6 +287,25 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_unrealizable_network_fails_cleanly(self, tmp_path, capsys):
+        # a valid bundle whose mask is neither a chain nor full: with this
+        # seed the sampled 5-node network passes every constraint check but
+        # has no placement on a timeline
+        model = dataclasses.replace(
+            random_model(np.random.default_rng([5, 1]), 3, 5),
+            structure=StructureMask.of([(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+        )
+        path = tmp_path / "bundle.json"
+        save_bundle(path, ModelBundle(vocab=list(model.action_vocab), classes=["c"], models={"c": model}))
+        code = main(
+            ["generate", "--model", str(path), "--class", "c", "--size", "5", "--seed", "5",
+             "--count", "1", "--out", str(tmp_path / "gen.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestPerturb:
     def test_labels(self, corpus_path, tmp_path):
         out = tmp_path / "pert.jsonl"
@@ -343,27 +365,13 @@ class TestAlgebra:
         assert all(line.endswith(": consistent") for line in lines)
 
 
-def _child_env(**overrides):
-    """Environment for a ``python -m ibgn`` child that runs this same package.
-
-    The inherited environment is kept, but the ``src`` directory of the
-    ``ibgn`` that this process imported goes first on ``PYTHONPATH``, so the
-    child needs no installed copy and cannot pick up a different one.
-    """
-    env = dict(os.environ, **overrides)
-    src = str(Path(ibgn.__file__).resolve().parent.parent)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = os.pathsep.join([src, inherited] if inherited else [src])
-    return env
-
-
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ibgn", "algebra", "compose", "eq", "c"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "c"
@@ -375,7 +383,7 @@ class TestEntryPoint:
              "--out", str(out), *TRAIN_FLAGS],
             capture_output=True,
             text=True,
-            env=_child_env(IBGN_LOG="info"),
+            env=child_env(IBGN_LOG="info"),
         )
         assert proc.returncode == 0
         assert "wrote model bundle" in proc.stderr

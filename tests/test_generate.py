@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +30,7 @@ from ibgn import (
     scan_link_constraints,
     seat_next,
 )
-from ibgn.errors import EmptyConstraint
+from ibgn.errors import EmptyConstraint, Unrealizable
 from ibgn.generate import draw_size
 from conftest import random_actions_instance, random_model, two_class_models, uniform_model
 
@@ -265,8 +266,23 @@ class TestRealizeTimestamps:
         net = IntervalNetwork(actions=(1, 1, 1), relations={(0, 1): b, (1, 2): b, (0, 2): eq})
         with pytest.raises(RuntimeError):
             reference_realize(net)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(Unrealizable):
             realize_timestamps(net)
+
+    def test_leaves_no_reference_cycles(self):
+        model = random_model(np.random.default_rng(14), vocab_size=3, k_star=6)
+        rng = np.random.default_rng(15)
+        networks = [sample_network(model, k=6, rng=rng) for _ in range(50)]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for net in networks:
+                realize_timestamps(net)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestClassModelValidation:

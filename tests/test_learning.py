@@ -49,19 +49,11 @@ def make_state(action_counts, alpha, beta, actions, assignments):
     action_counts = np.asarray(action_counts, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    num_instances = len(actions)
-    ell = len(alpha)
-    occupancy = np.zeros((num_instances, ell))
-    for d, seats in enumerate(assignments):
-        for z in seats:
-            if z >= 0:
-                occupancy[d, z] += 1.0
     return SamplerState(
         actions=[list(a) for a in actions],
         assignments=[list(a) for a in assignments],
         action_counts=action_counts,
         row_totals=action_counts.sum(axis=1),
-        occupancy=occupancy,
         alpha=alpha,
         beta=beta,
         beta_rows=beta.sum(axis=1),
@@ -360,7 +352,7 @@ class TestRunGibbs:
         r1 = run_gibbs(corpus, 3, config, np.random.default_rng(1))
         r2 = run_gibbs(corpus, 3, config, np.random.default_rng(1))
         np.testing.assert_array_equal(r1.averaged_na, r2.averaged_na)
-        np.testing.assert_array_equal(r1.averaged_nt, r2.averaged_nt)
+        assert r1.state.assignments == r2.state.assignments
         np.testing.assert_array_equal(r1.alpha, r2.alpha)
         np.testing.assert_array_equal(r1.beta, r2.beta)
 
@@ -370,10 +362,11 @@ class TestRunGibbs:
         result = run_gibbs(corpus, 3, tiny_config(), np.random.default_rng(2))
         longest = max(inst.observed_length for inst in corpus)
         assert result.averaged_na.shape == (longest, 3)
-        assert result.averaged_nt.shape == (len(corpus), longest)
-        # every node is always seated somewhere, sweep after sweep
+        assert len(result.state.assignments) == len(corpus)
+        # every node is seated somewhere at the end of the run
         for d, inst in enumerate(corpus):
-            assert result.averaged_nt[d].sum() == pytest.approx(inst.observed_length)
+            seats = result.state.assignments[d]
+            assert len(seats) == inst.observed_length and all(0 <= z < longest for z in seats)
         assert result.averaged_na.sum() == pytest.approx(
             sum(inst.observed_length for inst in corpus)
         )
@@ -401,13 +394,15 @@ class TestRunGibbs:
         state = run_gibbs(
             corpus, 3, tiny_config(iterations=11, burn_in=10, avg_window=1), np.random.default_rng(5)
         ).state
-        occupancy = state.occupancy.astype(np.int64)
-        rest = occupancy.copy()
+        occupancy = np.zeros((count, ell), dtype=np.int64)
         per_instance = np.zeros((count, ell, m), dtype=np.int64)
         for d, (seats, actions) in enumerate(zip(state.assignments, state.actions)):
-            rest[d, seats[0]] -= 1
             for z, a in zip(seats, actions):
+                occupancy[d, z] += 1
                 per_instance[d, z, a] += 1
+        rest = occupancy.copy()
+        for d, seats in enumerate(state.assignments):
+            rest[d, seats[0]] -= 1
         for z in range(ell):
             np.testing.assert_array_equal(state.window_table[z], np.bincount(occupancy[:, z], minlength=cap))
             np.testing.assert_array_equal(state.window_alpha[z], np.bincount(rest[:, z], minlength=cap))

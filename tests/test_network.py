@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ibgn import (
     BaseRelation,
+    ConstraintMatrix,
     FULL_SET,
     Instance,
     Interval,
@@ -22,11 +23,12 @@ from ibgn import (
     instance_to_network,
     pad_nulls,
     relation_of,
-    resolve_constraints,
+    resolution_order,
     scan_link_constraints,
 )
+from ibgn import network as network_module
 from ibgn.errors import EmptyConstraint, InstanceTooLong, OrderViolation
-from conftest import random_instance
+from conftest import random_actions_instance, random_instance
 
 B, M, O, S, C, F, EQ = BaseRelation
 
@@ -173,28 +175,69 @@ class TestStructureMask:
         assert len(StructureMask.chain(1)) == 0
 
 
-class TestResolveConstraints:
-    def test_order_and_stored_constraints(self):
-        x = {}
-        rows = list(resolve_constraints(4, x))
-        # target node ascending, source node descending
-        assert [(i, j) for i, j, _ in rows] == [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
-        assert all(x[(i, j)] == constraint for i, j, constraint in rows)
+def reference_scan(network, mask, observed=None):
+    """Oracle for ``scan_link_constraints``: the eager walk that composes
+    every pair's constraint in resolution order and keeps the singleton of
+    the observed relation on each link."""
+    if observed is None:
+        observed = network.size
+        while observed and network.actions[observed - 1] == NULL_ACTION:
+            observed -= 1
+    x = {}
+    for n in range(1, observed):
+        for n_prime in range(n - 1, -1, -1):
+            constraint = compute_constraint(x, n_prime, n)
+            if (n_prime, n) in mask:
+                relation = network.relations[(n_prime, n)]
+                x[(n_prime, n)] = RelationSet.of(relation)
+                yield n_prime, n, constraint, relation
+            else:
+                x[(n_prime, n)] = constraint
 
-    def test_entry_stored_by_caller_is_kept(self):
-        x = {}
-        before = RelationSet.of(B)
-        rows = {}
-        for n_prime, n, constraint in resolve_constraints(3, x):
-            rows[(n_prime, n)] = constraint
-            if n == n_prime + 1:
-                x[(n_prime, n)] = before
-        assert x[(0, 1)] == x[(1, 2)] == before
-        assert rows[(0, 2)] == x[(0, 2)] == compose_sets(before, before)
+
+class TestResolutionOrder:
+    def test_order(self):
+        # later node ascending, earlier node descending
+        assert list(resolution_order(0, 3)) == [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]
+        assert list(resolution_order(1, 3)) == [(1, 2), (2, 3), (1, 3)]
 
     def test_single_node_yields_nothing(self):
-        x = {}
-        assert list(resolve_constraints(1, x)) == [] and x == {}
+        assert list(resolution_order(0, 0)) == []
+        assert list(resolution_order(2, 2)) == []
+
+    def test_every_inner_pair_comes_first(self):
+        pairs = list(resolution_order(0, 6))
+        position = {pair: index for index, pair in enumerate(pairs)}
+        for (a, b), index in position.items():
+            assert all(position[inner] < index for inner in resolution_order(a, b) if inner != (a, b))
+
+
+class TestConstraintMatrix:
+    def test_read_fills_exactly_the_pairs_inside(self):
+        x = ConstraintMatrix()
+        assert x[(0, 3)] == FULL_SET
+        assert set(x) == {(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)}
+
+    def test_entries_equal_the_eager_walk(self):
+        x = ConstraintMatrix()
+        eager = {}
+        for n_prime, n in resolution_order(0, 4):
+            eager[(n_prime, n)] = compute_constraint(eager, n_prime, n)
+            if n == n_prime + 1:
+                eager[(n_prime, n)] = x[(n_prime, n)] = RelationSet.of(O)
+        assert x[(0, 4)] == eager[(0, 4)] and dict(x) == eager
+
+    def test_prefilled_entry_is_kept(self):
+        before = RelationSet.of(B)
+        x = ConstraintMatrix({(0, 1): before, (1, 2): before})
+        assert x[(0, 2)] == compose_sets(before, before)
+        assert x[(0, 1)] == x[(1, 2)] == before
+
+    def test_pair_out_of_order_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            ConstraintMatrix()[(2, 2)]
+        with pytest.raises(KeyError):
+            ConstraintMatrix()[(3, 1)]
 
 
 class TestScanLinkConstraints:
@@ -232,6 +275,42 @@ class TestScanLinkConstraints:
         net = instance_to_network(inst)
         rows = list(scan_link_constraints(net, StructureMask.full(5)))
         assert [(i, j) for i, j, _, _ in rows] == [(0, 1)]
+
+
+class TestScanMatchesEagerWalk:
+    def test_rows_and_order_match_reference(self):
+        rng = np.random.default_rng(2024)
+        scanned = 0
+        for _ in range(320):
+            k = int(rng.integers(1, 9))
+            inst = random_actions_instance(rng, k, 4)
+            if rng.random() < 0.25:
+                inst = pad_nulls(inst, k + int(rng.integers(1, 3)))
+            net = instance_to_network(inst)
+            size = len(inst)
+            random_mask = StructureMask.of(
+                (a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.4
+            )
+            for mask in (
+                StructureMask.chain(size), StructureMask.full(size), StructureMask.of([]), random_mask
+            ):
+                rows = list(scan_link_constraints(net, mask))
+                assert rows == list(reference_scan(net, mask))
+                scanned += len(rows)
+        assert scanned > 1000
+
+    @pytest.mark.parametrize("mask", [StructureMask.of([]), StructureMask.chain(12)], ids=["empty", "chain"])
+    def test_no_composition_without_wide_links(self, monkeypatch, mask):
+        calls = []
+
+        def counted(set1, set2):
+            calls.append((set1, set2))
+            return compose_sets(set1, set2)
+
+        monkeypatch.setattr(network_module, "compose_sets", counted)
+        net = instance_to_network(random_instance(np.random.default_rng(12), 12))
+        rows = list(scan_link_constraints(net, mask))
+        assert len(rows) == len(mask) and calls == []
 
 
 class TestPathPropagation:
