@@ -43,7 +43,6 @@ from .generate import (
 from .learning import (
     NULL_RELATION_CODE,
     BicFamilyCounts,
-    GibbsResult,
     SamplerState,
     TrainConfig,
     bic_family_score,

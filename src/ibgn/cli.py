@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .errors import IbgnError
 from .generate import sample_instance
-from .learning import TrainConfig, train_bundle
+from .learning import _STRUCTURE_MODES, TrainConfig, train_bundle
 from .model_io import ModelBundle, _fmt, load_bundle, save_bundle
 from .network import check_consistency, instance_to_network
 
@@ -54,7 +54,7 @@ def _setup_logging() -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    config = TrainConfig(
+    return TrainConfig(
         iterations=args.iters,
         burn_in=args.burnin,
         avg_window=args.avg_window,
@@ -65,8 +65,6 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
         clamp_lo=args.clamp_lo,
         clamp_hi=args.clamp_hi,
     )
-    config.validate()
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +224,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--structure", choices=("learned", "chain", "full"), default="learned")
-    sub.add_argument("--iters", type=int, default=2000, help="total Gibbs sweeps")
-    sub.add_argument("--burnin", type=int, default=500)
-    sub.add_argument("--avg-window", type=int, default=1000, dest="avg_window")
-    sub.add_argument("--rho", type=float, default=1e-5, help="relation-count smoothing")
-    sub.add_argument("--alpha-init", type=float, default=1.0, dest="alpha_init")
-    sub.add_argument("--beta-init", type=float, default=0.5, dest="beta_init")
-    sub.add_argument("--clamp-lo", type=float, default=1e-6, dest="clamp_lo")
-    sub.add_argument("--clamp-hi", type=float, default=1e6, dest="clamp_hi")
+    default = TrainConfig()
+    sub.add_argument("--structure", choices=_STRUCTURE_MODES, default=default.structure)
+    sub.add_argument(
+        "--iters", type=int, default=default.iterations,
+        help="total iterations: burn-in and window Gibbs sweeps, then refit steps",
+    )
+    sub.add_argument("--burnin", type=int, default=default.burn_in)
+    sub.add_argument("--avg-window", type=int, default=default.avg_window, dest="avg_window")
+    sub.add_argument("--rho", type=float, default=default.rho, help="relation-count smoothing")
+    sub.add_argument("--alpha-init", type=float, default=default.alpha_init, dest="alpha_init")
+    sub.add_argument("--beta-init", type=float, default=default.beta_init, dest="beta_init")
+    sub.add_argument("--clamp-lo", type=float, default=default.clamp_lo, dest="clamp_lo")
+    sub.add_argument("--clamp-hi", type=float, default=default.clamp_hi, dest="clamp_hi")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,10 @@ instance's deterministic first seat) for the seating strengths, per-table
 action counts for the dish priors.  The updates read only how often each
 count value occurs in the window (Minka's count-histogram form), so the
 window is kept as running histogram sums whose size does not depend on its
-length.  Refits wait until the window is complete, then run once per
-remaining sweep over the fixed sums, so the returned hyperparameters
-approach the maximum-likelihood stationary point of the recorded samples.
+length.  The sweeps stop once the window is complete: the refits read
+only the fixed sums, so the remaining iterations are refit steps alone, and
+the returned hyperparameters approach the maximum-likelihood stationary
+point of the recorded samples.
 Relation distributions are estimated afterwards by a deterministic scan that
 replays, for every structure link, the constraint under which its relation
 was chosen.  Structure itself is picked per link by a decomposable BIC
@@ -52,7 +53,6 @@ from .network import (
 __all__ = [
     "TrainConfig",
     "SamplerState",
-    "GibbsResult",
     "digamma",
     "gibbs_conditional",
     "run_gibbs",
@@ -123,6 +123,9 @@ class TrainConfig:
     clamp_lo: float = 1e-6
     clamp_hi: float = 1e6
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.structure not in _STRUCTURE_MODES:
             raise ConfigInvalid(f"structure must be one of {_STRUCTURE_MODES}")
@@ -161,16 +164,10 @@ class SamplerState:
         return len(self.alpha)
 
     @property
-    def vocab_size(self) -> int:
-        return self.action_counts.shape[1]
-
-
-@dataclass
-class GibbsResult:
-    averaged_na: np.ndarray  # (ell, M) window-averaged table/action counts
-    alpha: np.ndarray
-    beta: np.ndarray
-    state: SamplerState
+    def averaged_na(self) -> np.ndarray:
+        """(ell, M) table/action counts averaged over the window sweeps."""
+        cap = self.window_action.shape[2]
+        return (self.window_action * np.arange(cap)).sum(axis=2) / self.window_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +309,22 @@ def run_gibbs(
     config: TrainConfig,
     rng: np.random.Generator,
     ell: Optional[int] = None,
-) -> GibbsResult:
+) -> SamplerState:
     """Fit table assignments and hyperparameters on one class's instances.
 
     Nulls never enter the sampler.  Assignments are initialized by a
-    sequential draw from the seating prior; every sweep then reseats each
-    node of each instance in order.  Counts are averaged over the
-    ``avg_window`` sweeps following burn-in, and each of those sweeps adds
-    its per-instance count histograms to the window sums the refit reads.
-    While the window is still being recorded the per-sweep refit is the
-    documented no-op (the chain anneals at the initial hyperparameters), and
-    every sweep after the window completes applies one fixed-point step over
-    the window sums, so the returned hyperparameters approach the stationary
-    point of the window.  Fixed seed, config and corpus give bit-identical
-    results.
+    sequential draw from the seating prior; each of the first
+    ``burn_in + avg_window`` sweeps then reseats every node of every instance
+    in order, at the initial hyperparameters.  Each of the ``avg_window``
+    sweeps after burn-in adds its per-instance count histograms to the window
+    sums that ``averaged_na`` and the refit read.  The sweeps stop when the
+    window closes, since nothing reads a later seating: the remaining
+    ``iterations - burn_in - avg_window`` steps are fixed-point refits over
+    the window sums alone, so the returned hyperparameters approach the
+    stationary point of the window.  ``rng`` is advanced only by the prior
+    draw and the sweeps.  The returned state holds the seating of the last
+    window sweep.  Fixed seed, config and corpus give bit-identical results.
     """
-    config.validate()
     if not instances:
         raise EmptyCorpus("cannot run the sampler on an empty corpus")
     actions = [
@@ -373,8 +370,8 @@ def run_gibbs(
         for n in range(len(actions[d])):
             _seat(state, d, n, seat_next(seated, state.alpha, rng))
 
-    avg_na = np.zeros_like(state.action_counts)
-    for sweep in range(1, config.iterations + 1):
+    sweeps = config.burn_in + config.avg_window
+    for sweep in range(1, sweeps + 1):
         for d in range(num_instances):
             for n in range(len(actions[d])):
                 _unseat(state, d, n)
@@ -382,31 +379,23 @@ def run_gibbs(
                 _seat(state, d, n, _draw(probs, rng))
         if sweep <= config.burn_in:
             continue
-        if sweep <= config.burn_in + config.avg_window:
-            node_table = np.asarray(
-                [t for assigned in state.assignments for t in assigned], dtype=np.int64
-            )
-            per_instance = np.bincount(
-                node_instance * cells + node_table * vocab_size + node_action,
-                minlength=num_instances * cells,
-            ).reshape(num_instances, ell, vocab_size)
-            _add_histograms(state.window_action, per_instance)
-            occ = per_instance.sum(axis=2)
-            _add_histograms(state.window_table, occ)
-            first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
-            occ[np.arange(num_instances), first_seats] -= 1
-            _add_histograms(state.window_alpha, occ)
-            state.window_sweeps += 1
-            avg_na += state.action_counts
-        else:
-            update_hyperparams(state, config)
-
-    return GibbsResult(
-        averaged_na=avg_na / state.window_sweeps,
-        alpha=state.alpha.copy(),
-        beta=state.beta.copy(),
-        state=state,
-    )
+        node_table = np.asarray(
+            [t for assigned in state.assignments for t in assigned], dtype=np.int64
+        )
+        per_instance = np.bincount(
+            node_instance * cells + node_table * vocab_size + node_action,
+            minlength=num_instances * cells,
+        ).reshape(num_instances, ell, vocab_size)
+        _add_histograms(state.window_action, per_instance)
+        occ = per_instance.sum(axis=2)
+        _add_histograms(state.window_table, occ)
+        first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
+        occ[np.arange(num_instances), first_seats] -= 1
+        _add_histograms(state.window_alpha, occ)
+        state.window_sweeps += 1
+    for _ in range(config.iterations - sweeps):
+        update_hyperparams(state, config)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +546,6 @@ def train_class_model(
     rng: np.random.Generator,
 ) -> ClassModel:
     """Fit one class's full generative model from its labeled instances."""
-    config.validate()
     if not instances:
         raise EmptyCorpus("cannot train on an empty corpus")
     instances = [inst for inst in instances if inst.observed_length > 0]
@@ -571,14 +559,15 @@ def train_class_model(
     else:
         mask = learn_structure(instances, len(vocab))
         mask = StructureMask.of((i, j) for i, j in mask.links if j < k_star)
-    result = run_gibbs(instances, len(vocab), config, rng, ell=k_star)
-    theta = estimate_theta(result.averaged_na, result.beta)
+    state = run_gibbs(instances, len(vocab), config, rng, ell=k_star)
+    averaged_na = state.averaged_na
+    theta = estimate_theta(averaged_na, state.beta)
     phi = estimate_phi(collect_link_counts(instances, mask), config.rho)
     model = ClassModel(
         k_star=k_star,
         ell=k_star,
-        alpha=result.alpha,
-        beta=result.beta,
+        alpha=state.alpha,
+        beta=state.beta,
         theta=theta,
         structure=mask,
         phi=phi,
@@ -587,7 +576,7 @@ def train_class_model(
     )
     model.validate()
     # diagnostic breadcrumb for the CLI summary; not part of the model proper
-    model.occupied_tables = int(np.sum(result.averaged_na.sum(axis=1) > 0.5))
+    model.occupied_tables = int(np.sum(averaged_na.sum(axis=1) > 0.5))
     return model
 
 

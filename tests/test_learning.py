@@ -30,6 +30,7 @@ from ibgn import (
     train_class_model,
     update_hyperparams,
 )
+from ibgn import learning
 from ibgn.errors import ConfigInvalid, DomainError, EmptyCorpus
 from conftest import (
     exhaustive_structure_oracle,
@@ -112,7 +113,7 @@ class TestTrainConfig:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigInvalid):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**kwargs)
 
 
 class TestGibbsConditional:
@@ -352,7 +353,7 @@ class TestRunGibbs:
         r1 = run_gibbs(corpus, 3, config, np.random.default_rng(1))
         r2 = run_gibbs(corpus, 3, config, np.random.default_rng(1))
         np.testing.assert_array_equal(r1.averaged_na, r2.averaged_na)
-        assert r1.state.assignments == r2.state.assignments
+        assert r1.assignments == r2.assignments
         np.testing.assert_array_equal(r1.alpha, r2.alpha)
         np.testing.assert_array_equal(r1.beta, r2.beta)
 
@@ -362,10 +363,10 @@ class TestRunGibbs:
         result = run_gibbs(corpus, 3, tiny_config(), np.random.default_rng(2))
         longest = max(inst.observed_length for inst in corpus)
         assert result.averaged_na.shape == (longest, 3)
-        assert len(result.state.assignments) == len(corpus)
+        assert len(result.assignments) == len(corpus)
         # every node is seated somewhere at the end of the run
         for d, inst in enumerate(corpus):
-            seats = result.state.assignments[d]
+            seats = result.assignments[d]
             assert len(seats) == inst.observed_length and all(0 <= z < longest for z in seats)
         assert result.averaged_na.sum() == pytest.approx(
             sum(inst.observed_length for inst in corpus)
@@ -375,7 +376,7 @@ class TestRunGibbs:
         rng = np.random.default_rng(103)
         corpus = self._corpus(rng, count=9, vocab_size=3)
         config = tiny_config()
-        state = run_gibbs(corpus, 3, config, np.random.default_rng(4)).state
+        state = run_gibbs(corpus, 3, config, np.random.default_rng(4))
         window, count = config.avg_window, len(corpus)
         ell, m, cap = state.window_action.shape
         assert state.window_sweeps == window
@@ -393,7 +394,7 @@ class TestRunGibbs:
         # table by table and cell by cell
         state = run_gibbs(
             corpus, 3, tiny_config(iterations=11, burn_in=10, avg_window=1), np.random.default_rng(5)
-        ).state
+        )
         occupancy = np.zeros((count, ell), dtype=np.int64)
         per_instance = np.zeros((count, ell, m), dtype=np.int64)
         for d, (seats, actions) in enumerate(zip(state.assignments, state.actions)):
@@ -411,12 +412,41 @@ class TestRunGibbs:
                     state.window_action[z, i], np.bincount(per_instance[:, z, i], minlength=cap)
                 )
 
+    def test_refit_tail_runs_no_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(105)
+        corpus = self._corpus(rng, count=8)
+        nodes = sum(inst.observed_length for inst in corpus)
+        closed = tiny_config()  # the window closes on the last iteration
+        tail = 25
+        calls = []
+        original = learning.gibbs_conditional
+
+        def counting(state, d, n):
+            calls.append((d, n))
+            return original(state, d, n)
+
+        monkeypatch.setattr(learning, "gibbs_conditional", counting)
+        state = run_gibbs(
+            corpus, 3, tiny_config(iterations=closed.iterations + tail), np.random.default_rng(7)
+        )
+        # only the burn-in and window sweeps reseat nodes
+        assert len(calls) == (closed.burn_in + closed.avg_window) * nodes
+        monkeypatch.undo()
+        # the tail is exactly `tail` refit steps over the closed window
+        reference = run_gibbs(corpus, 3, closed, np.random.default_rng(7))
+        for _ in range(tail):
+            update_hyperparams(reference, closed)
+        np.testing.assert_array_equal(state.averaged_na, reference.averaged_na)
+        np.testing.assert_array_equal(state.alpha, reference.alpha)
+        np.testing.assert_array_equal(state.beta, reference.beta)
+        assert state.assignments == reference.assignments
+
     def test_budget_override(self):
         rng = np.random.default_rng(102)
         corpus = self._corpus(rng, count=6)
         result = run_gibbs(corpus, 3, tiny_config(), np.random.default_rng(3), ell=2)
         assert result.averaged_na.shape[0] == 2
-        for seats in result.state.assignments:
+        for seats in result.assignments:
             assert set(seats) <= {0, 1}
 
     def test_empty_corpus_rejected(self):
