@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -149,10 +150,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "input": str(args.input),
                 "folds": args.folds,
                 "seed": args.seed,
-                "structure": args.structure,
-                "iterations": args.iters,
-                "burn_in": args.burnin,
-                "avg_window": args.avg_window,
+                **dataclasses.asdict(config),
                 "perturb": args.perturb,
                 "rate": args.rate if args.perturb else None,
             },

@@ -27,13 +27,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import BaseRelation, RelationSet, relation_of
-from .errors import Unrealizable
+from .errors import EmptyConstraint, Unrealizable
 from .network import ConstraintMatrix, Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
 
 __all__ = [
     "ClassModel",
     "crp_table_distribution",
+    "count_seat",
     "seat_next",
     "sample_network",
     "realize_timestamps",
@@ -114,28 +115,24 @@ class ClassModel:
                 raise ValueError(f"structure link ({i}, {j}) outside k_star nodes")
 
 
-def crp_table_distribution(
-    occupancy: Sequence[float], position: int, alpha: np.ndarray
-) -> np.ndarray:
-    """Seating distribution for the node at 1-based ``position``.
+def crp_table_distribution(occupancy: Sequence[float], alpha: np.ndarray) -> np.ndarray:
+    """Seating distribution for the node after the ones counted in ``occupancy``.
 
-    ``occupancy`` holds the per-table counts of the ``position - 1`` nodes
-    already seated; occupied tables always form a prefix of the budget, so
-    entry ``z`` of the result is table ``z`` and the final entry (present
-    only while the budget allows) is the next fresh table.  Each table uses
-    its own concentration ``alpha[z]``: occupied tables weigh
-    ``count / (position + alpha[z] - 1)``, a fresh table weighs
-    ``alpha[z] / (position + alpha[z] - 1)``.  At the budget the fresh-table
-    mass is redistributed proportionally by renormalizing over the occupied
-    tables.  The returned vector sums to 1.
+    ``occupancy`` holds the per-table counts of the nodes already seated, so
+    the node's 1-based position is ``sum(occupancy) + 1``; occupied tables
+    always form a prefix of the budget, so entry ``z`` of the result is table
+    ``z`` and the final entry (present only while the budget allows) is the
+    next fresh table.  Each table uses its own concentration ``alpha[z]``:
+    occupied tables weigh ``count / (position + alpha[z] - 1)``, a fresh table
+    weighs ``alpha[z] / (position + alpha[z] - 1)``.  At the budget the
+    fresh-table mass is redistributed proportionally by renormalizing over the
+    occupied tables.  The returned vector sums to 1.
     """
     budget = len(alpha)
     occupied = len(occupancy)
     if occupied > budget:
         raise ValueError(f"{occupied} occupied tables exceed the budget {budget}")
-    total = sum(occupancy)
-    if total != position - 1:
-        raise ValueError(f"occupancy sums to {total}, expected position-1 = {position - 1}")
+    position = int(sum(occupancy)) + 1
     weights = [occupancy[z] / (position + alpha[z] - 1.0) for z in range(occupied)]
     if occupied < budget:
         weights.append(alpha[occupied] / (position + alpha[occupied] - 1.0))
@@ -163,13 +160,18 @@ def draw_size(model: ClassModel, rng: np.random.Generator) -> int:
     return sizes[_draw(probs, rng)][0]
 
 
-def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw the next node's table from the seating prior and count it in ``occupancy``."""
-    table = _draw(crp_table_distribution(occupancy, int(sum(occupancy)) + 1, alpha), rng)
+def count_seat(occupancy: List[float], table: int) -> None:
+    """Count one more node at ``table`` in ``occupancy``; the fresh table is appended."""
     if table == len(occupancy):
         occupancy.append(1.0)
     else:
         occupancy[table] += 1.0
+
+
+def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw the next node's table from the seating prior and count it in ``occupancy``."""
+    table = _draw(crp_table_distribution(occupancy, alpha), rng)
+    count_seat(occupancy, table)
     return table
 
 
@@ -229,8 +231,9 @@ def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tu
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
     """Assign integer timestamps realizing a sampled network.
 
-    Every pair's constraint is computed first, so an inconsistent network
-    raises :class:`~ibgn.errors.EmptyConstraint` before the search places
+    Every pair's constraint is computed first, and every fixed relation is
+    checked against its own, so an inconsistent network raises
+    :class:`~ibgn.errors.EmptyConstraint` before the search places
     intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
     ``k`` intervals), checking only the fixed relations, which imply the
     rest.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`.
@@ -243,7 +246,12 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
         if relation is None:
             x[(n_prime, n)]  # composed on this first read; raises if it empties
         else:
-            compute_constraint(x, n_prime, n)  # raises if the pairs inside exclude every relation
+            constraint = compute_constraint(x, n_prime, n)  # raises if it empties
+            if relation not in constraint:
+                raise EmptyConstraint(
+                    f"relation {relation.symbol} of pair ({n_prime}, {n}) lies outside "
+                    f"its constraint {{{constraint.text()}}}"
+                )
             fixed[n].append((n_prime, relation))  # nearest first: rejects soonest
 
     chosen: List[Tuple[int, int]] = []

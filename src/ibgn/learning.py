@@ -6,7 +6,10 @@ order.  The conditional for one node multiplies a Dirichlet-multinomial
 likelihood factor (corpus-wide table/action counts with the node removed) by
 a sequential seating factor that conditions on the occupancy of that
 instance's *earlier* nodes only — so occupied tables always form a contiguous
-prefix of the table budget within an instance.
+prefix of the table budget within an instance.  The sweep keeps that
+occupancy as a running per-table count while it walks the instance, counted
+with the same step (:func:`~ibgn.generate.count_seat`) as the prior draw and
+the generator.
 
 The concentration parameters are refit by multiplicative fixed-point updates
 driven by digamma sums over a window of count samples recorded one per
@@ -38,7 +41,7 @@ import numpy as np
 from .algebra import RelationSet
 from .dataset import Corpus
 from .errors import ConfigInvalid, DomainError, EmptyCorpus
-from .generate import ClassModel, _draw, seat_next
+from .generate import ClassModel, _draw, count_seat, seat_next
 from .model_io import ModelBundle
 from .network import (
     NULL_ACTION,
@@ -147,7 +150,7 @@ class SamplerState:
     """Mutable state of the collapsed sampler over one class's corpus."""
 
     actions: List[List[int]]  # per instance, 0-based action columns
-    assignments: List[List[int]]  # per instance, table index per node (-1 = unseated)
+    assignments: List[List[int]]  # per instance, table index per node
     action_counts: np.ndarray  # (ell, M) corpus-wide table/action counts
     row_totals: np.ndarray  # (ell,) row sums of action_counts
     alpha: np.ndarray  # (ell,)
@@ -174,39 +177,30 @@ class SamplerState:
 # collapsed Gibbs
 
 
-def gibbs_conditional(state: SamplerState, d: int, n: int) -> np.ndarray:
-    """Seating distribution for node ``n`` of instance ``d`` (normalized).
+def gibbs_conditional(state: SamplerState, a: int, occupancy: Sequence[float]) -> np.ndarray:
+    """Seating distribution (normalized) for a node with action column ``a``.
 
-    The node must currently be unseated (its count removed — the "minus one
-    node" state).  Entry ``z`` of the result is table ``z``; when the budget
-    is not yet exhausted by this instance's earlier nodes, the final entry is
-    the next fresh table.  Each table's weight is its likelihood factor
+    ``occupancy`` holds the per-table counts of the instance's earlier nodes,
+    so the node's 1-based position is ``sum(occupancy) + 1``; the node's own
+    count must already be removed from ``state`` (the "minus one node"
+    state).  Entry ``z`` of the result is table ``z``; when the budget is not
+    yet exhausted by the earlier nodes, the final entry is the next fresh
+    table.  Each table's weight is its likelihood factor
     ``(count_za + beta_za) / (count_z. + beta_z.)`` times its seating factor
     — earlier-node occupancy (or alpha, for the fresh table) over
     ``position + alpha_z - 1``.
     """
-    a = state.actions[d][n]
-    prefix = state.assignments[d][:n]
-    occupied = 0
-    for t in prefix:
-        if t >= occupied:
-            occupied = t + 1
-    counts = [0.0] * occupied
-    for t in prefix:
-        counts[t] += 1.0
-    if 0.0 in counts:
-        raise RuntimeError("earlier-node occupancy must form a contiguous table prefix")
-
     na = state.action_counts
     rows = state.row_totals
     beta = state.beta
     brows = state.beta_rows
     alpha = state.alpha
-    position = n + 1
+    occupied = len(occupancy)
+    position = int(sum(occupancy)) + 1
     weights = []
     for z in range(occupied):
         like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
-        weights.append(like * counts[z] / (position + alpha[z] - 1.0))
+        weights.append(like * occupancy[z] / (position + alpha[z] - 1.0))
     if occupied < state.ell:
         z = occupied
         like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
@@ -215,19 +209,9 @@ def gibbs_conditional(state: SamplerState, d: int, n: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _unseat(state: SamplerState, d: int, n: int) -> None:
-    z = state.assignments[d][n]
-    a = state.actions[d][n]
-    state.assignments[d][n] = -1
-    state.action_counts[z, a] -= 1.0
-    state.row_totals[z] -= 1.0
-
-
-def _seat(state: SamplerState, d: int, n: int, z: int) -> None:
-    a = state.actions[d][n]
-    state.assignments[d][n] = z
-    state.action_counts[z, a] += 1.0
-    state.row_totals[z] += 1.0
+def _count_node(state: SamplerState, z: int, a: int, step: float) -> None:
+    state.action_counts[z, a] += step
+    state.row_totals[z] += step
 
 
 def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,7 +299,10 @@ def run_gibbs(
     Nulls never enter the sampler.  Assignments are initialized by a
     sequential draw from the seating prior; each of the first
     ``burn_in + avg_window`` sweeps then reseats every node of every instance
-    in order, at the initial hyperparameters.  Each of the ``avg_window``
+    in order, at the initial hyperparameters.  Both walk an instance with a
+    running occupancy of its earlier nodes: a sweep removes the node's count,
+    draws its table from :func:`gibbs_conditional`, adds the count back and
+    counts the table in the occupancy.  Each of the ``avg_window``
     sweeps after burn-in adds its per-instance count histograms to the window
     sums that ``averaged_na`` and the refit read.  The sweeps stop when the
     window closes, since nothing reads a later seating: the remaining
@@ -344,7 +331,7 @@ def run_gibbs(
     cap = longest + 1
     state = SamplerState(
         actions=actions,
-        assignments=[[-1] * len(a) for a in actions],
+        assignments=[[] for _ in actions],
         action_counts=np.zeros((ell, vocab_size)),
         row_totals=np.zeros(ell),
         alpha=np.full(ell, float(config.alpha_init)),
@@ -365,18 +352,22 @@ def run_gibbs(
     cells = ell * vocab_size
 
     # sequential prior draw
-    for d in range(num_instances):
-        seated: List[float] = []
-        for n in range(len(actions[d])):
-            _seat(state, d, n, seat_next(seated, state.alpha, rng))
+    for inst_actions, seats in zip(actions, state.assignments):
+        occupancy: List[float] = []
+        for a in inst_actions:
+            seats.append(seat_next(occupancy, state.alpha, rng))
+            _count_node(state, seats[-1], a, 1.0)
 
     sweeps = config.burn_in + config.avg_window
     for sweep in range(1, sweeps + 1):
-        for d in range(num_instances):
-            for n in range(len(actions[d])):
-                _unseat(state, d, n)
-                probs = gibbs_conditional(state, d, n)
-                _seat(state, d, n, _draw(probs, rng))
+        for inst_actions, seats in zip(actions, state.assignments):
+            occupancy = []
+            for n, a in enumerate(inst_actions):
+                _count_node(state, seats[n], a, -1.0)
+                z = _draw(gibbs_conditional(state, a, occupancy), rng)
+                seats[n] = z
+                _count_node(state, z, a, 1.0)
+                count_seat(occupancy, z)
         if sweep <= config.burn_in:
             continue
         node_table = np.asarray(

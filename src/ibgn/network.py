@@ -217,8 +217,6 @@ def compute_constraint(
     """
     if not 0 <= n_prime < n:
         raise ValueError(f"bad pair ({n_prime}, {n})")
-    if n == n_prime + 1:
-        return FULL_SET
     constraint = FULL_SET
     for mid in range(n_prime + 1, n):
         constraint = constraint & compose_sets(x[(n_prime, mid)], x[(mid, n)])
@@ -252,23 +250,20 @@ class ConstraintMatrix(dict):
 
 
 def scan_link_constraints(
-    network: IntervalNetwork,
-    mask: StructureMask,
-    observed: Optional[int] = None,
+    network: IntervalNetwork, mask: StructureMask
 ) -> Iterator[Tuple[int, int, RelationSet, BaseRelation]]:
     """Replay an observed network's link constraints in resolution order.
 
-    For every structure link ``(n', n)`` inside the observed prefix this
-    yields ``(n', n, constraint, relation)``: the network's relation and the
-    constraint the links inside the pair's span allow (singletons of their
-    observed relations, composed where no link fixes an entry) — the exact
-    quantity the relation distributions are conditioned on, during both
-    training and scoring.
+    For every structure link ``(n', n)`` inside the observed prefix (the
+    nodes before any trailing nulls) this yields ``(n', n, constraint,
+    relation)``: the network's relation and the constraint the links inside
+    the pair's span allow (singletons of their observed relations, composed
+    where no link fixes an entry) — the exact quantity the relation
+    distributions are conditioned on, during both training and scoring.
     """
-    if observed is None:
-        observed = network.size
-        while observed and network.actions[observed - 1] == NULL_ACTION:
-            observed -= 1
+    observed = network.size
+    while observed and network.actions[observed - 1] == NULL_ACTION:
+        observed -= 1
     links = [pair for pair in resolution_order(0, observed - 1) if pair in mask.links]
     x = ConstraintMatrix((pair, RelationSet.of(network.relations[pair])) for pair in links)
     for n_prime, n in links:

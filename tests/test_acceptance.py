@@ -201,7 +201,7 @@ def _sample_recovery_corpus(theta_truth, count, rng, lengths=(2, 3, 4)):
         intervals = []
         for position in range(length):
             probs = crp_table_distribution(
-                np.asarray(counts), position + 1, alpha
+                np.asarray(counts), alpha
             )
             z = int(rng.choice(len(probs), p=probs))
             if z == len(counts):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from ibgn import (
-    ModelBundle, StructureMask, load_bundle, load_instances, save_bundle, save_instances,
+    ModelBundle, StructureMask, TrainConfig, load_bundle, load_instances, save_bundle,
+    save_instances,
 )
 from ibgn.cli import main
 from ibgn.dataset import build_synthetic_corpus
@@ -234,6 +235,20 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert report["config"]["perturb"] == "labels"
         assert report["config"]["rate"] == 0.3
+
+    def test_report_holds_every_training_setting(self, corpus_path, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["eval", "--input", str(corpus_path), "--folds", "2", "--rho", "0.5",
+             "--out-report", str(report_path), *TRAIN_FLAGS]
+        )
+        assert code == 0
+        config = json.loads(report_path.read_text())["config"]
+        expected = dataclasses.asdict(
+            TrainConfig(iterations=30, burn_in=5, avg_window=20, structure="chain", rho=0.5)
+        )
+        assert {key: config[key] for key in expected} == expected
+        assert config["rho"] == 0.5
 
     def test_too_many_folds_fails_cleanly(self, corpus_path, tmp_path, capsys):
         code = main(

@@ -31,6 +31,7 @@ from ibgn import (
     seat_next,
 )
 from ibgn.errors import EmptyConstraint, Unrealizable
+from ibgn import generate
 from ibgn.generate import draw_size
 from conftest import random_actions_instance, random_model, two_class_models, uniform_model
 
@@ -90,35 +91,29 @@ def oracle_networks(count_per_kind: int = 80):
 class TestCrpTableDistribution:
     def test_worked_example(self):
         probs = crp_table_distribution(
-            occupancy=np.array([2.0]), position=3, alpha=np.array([1.0, 1.0])
+            occupancy=np.array([2.0]), alpha=np.array([1.0, 1.0])
         )
         np.testing.assert_allclose(probs, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_first_draw_always_opens_first_table(self):
         probs = crp_table_distribution(
-            occupancy=np.array([], dtype=float), position=1, alpha=np.array([1.0, 2.0])
+            occupancy=np.array([], dtype=float), alpha=np.array([1.0, 2.0])
         )
         np.testing.assert_allclose(probs, [1.0])
 
     def test_budget_reached_renormalizes_occupied(self):
         probs = crp_table_distribution(
-            occupancy=np.array([3.0, 1.0]), position=5, alpha=np.array([1.0, 1.0])
+            occupancy=np.array([3.0, 1.0]), alpha=np.array([1.0, 1.0])
         )
         np.testing.assert_allclose(probs, [0.75, 0.25])
 
     def test_per_table_strengths(self):
         # occupied table weight (count)/(pos-1+a_z); fresh weight a_new/(pos-1+a_new)
         probs = crp_table_distribution(
-            occupancy=np.array([2.0]), position=3, alpha=np.array([0.5, 4.0])
+            occupancy=np.array([2.0]), alpha=np.array([0.5, 4.0])
         )
         raw = np.array([2.0 / (2 + 0.5), 4.0 / (2 + 4.0)])
         np.testing.assert_allclose(probs, raw / raw.sum())
-
-    def test_occupancy_must_match_position(self):
-        with pytest.raises(ValueError):
-            crp_table_distribution(
-                occupancy=np.array([3.0]), position=3, alpha=np.array([1.0, 1.0])
-            )
 
     @given(
         counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -129,9 +124,7 @@ class TestCrpTableDistribution:
         budget = len(counts) + extra
         occ = np.array(counts, dtype=float)
         alpha = np.linspace(0.5, 2.0, budget)
-        probs = crp_table_distribution(
-            occupancy=occ, position=int(occ.sum()) + 1, alpha=alpha
-        )
+        probs = crp_table_distribution(occupancy=occ, alpha=alpha)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         expected_len = min(len(counts) + 1, budget)
         assert len(probs) == expected_len
@@ -141,7 +134,7 @@ class TestSeatNext:
     def test_draws_from_the_prior_and_counts_the_seat(self):
         alpha = np.array([1.0, 2.0, 0.5])
         occupancy = [2.0]
-        probs = crp_table_distribution(occupancy, 3, alpha)
+        probs = crp_table_distribution(occupancy, alpha)
         rng = np.random.default_rng(5)
         r = np.random.default_rng(5).random()
         table = seat_next(occupancy, alpha, rng)
@@ -250,20 +243,35 @@ class TestRealizeTimestamps:
         for net in networks:
             assert realize_timestamps(net, label="x") == reference_realize(net, label="x")
 
-    def test_inconsistent_network_raises_before_search(self):
+    def test_inconsistent_network_raises_before_search(self, monkeypatch):
         b, eq = BaseRelation.BEFORE, BaseRelation.EQUALS
-        net = IntervalNetwork(
+        emptied = IntervalNetwork(
             actions=(1, 1, 1, 1),
             relations={(0, 1): b, (1, 2): b, (0, 2): eq, (2, 3): eq},
         )
         with pytest.raises(EmptyConstraint):
-            reference_realize(net)
-        with pytest.raises(EmptyConstraint):
-            realize_timestamps(net)
+            reference_realize(emptied)
+        # the outer relation lies outside the constraint its inner links compose
+        contradicted = IntervalNetwork(actions=(1, 1, 1), relations={(0, 1): b, (1, 2): b, (0, 2): eq})
+        with pytest.raises(RuntimeError):
+            reference_realize(contradicted)
+        meets = {(n, n + 1): BaseRelation.MEETS for n in range(7)}
+        meets_chain = IntervalNetwork(actions=(1,) * 8, relations={**meets, (0, 7): eq})
+        checks = []
+        monkeypatch.setattr(generate, "relation_of", lambda *pair: checks.append(pair))
+        for net in (emptied, contradicted, meets_chain):
+            with pytest.raises(EmptyConstraint):
+                realize_timestamps(net)
+        assert checks == []  # no interval was placed
 
     def test_unrealizable_network_fails_like_oracle(self):
-        b, eq = BaseRelation.BEFORE, BaseRelation.EQUALS
-        net = IntervalNetwork(actions=(1, 1, 1), relations={(0, 1): b, (1, 2): b, (0, 2): eq})
+        o, f, m, c = (BaseRelation.OVERLAPS, BaseRelation.FINISHED_BY, BaseRelation.MEETS,
+                      BaseRelation.CONTAINS)
+        # every fixed relation lies inside its constraint, but no placement exists
+        net = IntervalNetwork(
+            actions=(1,) * 6,
+            relations={(1, 2): o, (0, 2): f, (1, 3): m, (2, 4): c, (1, 4): m, (1, 5): m, (0, 5): m},
+        )
         with pytest.raises(RuntimeError):
             reference_realize(net)
         with pytest.raises(Unrealizable):

@@ -32,6 +32,7 @@ from ibgn import (
 )
 from ibgn import learning
 from ibgn.errors import ConfigInvalid, DomainError, EmptyCorpus
+from ibgn.generate import _draw, count_seat, seat_next
 from conftest import (
     exhaustive_structure_oracle,
     random_actions_instance,
@@ -46,7 +47,7 @@ def make_instance(*triples, label=None):
     )
 
 
-def make_state(action_counts, alpha, beta, actions, assignments):
+def make_state(action_counts, alpha, beta, actions=((0,),), assignments=((0,),)):
     action_counts = np.asarray(action_counts, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -116,16 +117,100 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def prefix_conditional(state, d, n):
+    """Oracle for ``gibbs_conditional``: the earlier nodes' occupancy rebuilt
+    from ``state.assignments[d][:n]`` on every call, with the same weights."""
+    a = state.actions[d][n]
+    prefix = state.assignments[d][:n]
+    occupied = 0
+    for t in prefix:
+        if t >= occupied:
+            occupied = t + 1
+    counts = [0.0] * occupied
+    for t in prefix:
+        counts[t] += 1.0
+    assert 0.0 not in counts, "earlier-node occupancy must form a contiguous table prefix"
+    na, rows, beta, brows, alpha = (
+        state.action_counts, state.row_totals, state.beta, state.beta_rows, state.alpha
+    )
+    position = n + 1
+    weights = []
+    for z in range(occupied):
+        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
+        weights.append(like * counts[z] / (position + alpha[z] - 1.0))
+    if occupied < state.ell:
+        z = occupied
+        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
+        weights.append(like * alpha[z] / (position + alpha[z] - 1.0))
+    probs = np.asarray(weights, dtype=float)
+    return probs / probs.sum()
+
+
+def prefix_run_gibbs(instances, vocab_size, config, rng, ell=None):
+    """Oracle for ``run_gibbs``: the same prior draw and sweep order, each node
+    reseated through ``prefix_conditional``, and the window histograms counted
+    instance by instance."""
+    actions = [[iv.action - 1 for iv in inst.intervals if not iv.is_null] for inst in instances]
+    longest = max(len(a) for a in actions)
+    ell = ell or longest
+    cap = longest + 1
+    state = make_state(
+        np.zeros((ell, vocab_size)), np.full(ell, config.alpha_init),
+        np.full((ell, vocab_size), config.beta_init), actions, [[-1] * len(a) for a in actions],
+    )
+    state.window_table = np.zeros((ell, cap))
+    state.window_alpha = np.zeros((ell, cap))
+    state.window_action = np.zeros((ell, vocab_size, cap))
+    state.length_hist = np.bincount([len(a) - 1 for a in actions], minlength=cap).astype(float)
+
+    def move(d, n, z, step):
+        state.assignments[d][n] = z if step > 0 else -1
+        state.action_counts[z, actions[d][n]] += step
+        state.row_totals[z] += step
+
+    for d, inst_actions in enumerate(actions):
+        seated = []
+        for n in range(len(inst_actions)):
+            move(d, n, seat_next(seated, state.alpha, rng), 1.0)
+    tables = np.arange(ell)
+    for sweep in range(config.burn_in + config.avg_window):
+        for d, inst_actions in enumerate(actions):
+            for n in range(len(inst_actions)):
+                move(d, n, state.assignments[d][n], -1.0)
+                move(d, n, _draw(prefix_conditional(state, d, n), rng), 1.0)
+        if sweep < config.burn_in:
+            continue
+        for seats, inst_actions in zip(state.assignments, actions):
+            occupancy = np.zeros(ell, dtype=np.int64)
+            counts = np.zeros((ell, vocab_size), dtype=np.int64)
+            for z, a in zip(seats, inst_actions):
+                occupancy[z] += 1
+                counts[z, a] += 1
+            state.window_table[tables, occupancy] += 1
+            occupancy[seats[0]] -= 1
+            state.window_alpha[tables, occupancy] += 1
+            state.window_action[tables[:, None], np.arange(vocab_size), counts] += 1
+        state.window_sweeps += 1
+    for _ in range(config.iterations - config.burn_in - config.avg_window):
+        update_hyperparams(state, config)
+    return state
+
+
+def _occupancy(seats):
+    occupancy = []
+    for z in seats:
+        count_seat(occupancy, z)
+    return occupancy
+
+
 class TestGibbsConditional:
     def test_worked_example(self):
         state = make_state(
             action_counts=[[2.0, 0.0], [0.0, 0.0]],
             alpha=[1.0, 1.0],
             beta=[[0.5, 0.5], [0.5, 0.5]],
-            actions=[[0, 0]],
-            assignments=[[0, -1]],
         )
-        probs = gibbs_conditional(state, 0, 1)
+        probs = gibbs_conditional(state, 0, [1.0])
         np.testing.assert_allclose(probs, [0.625, 0.375])
 
     def test_tiny_alpha_sticks_to_occupied_table(self):
@@ -133,10 +218,8 @@ class TestGibbsConditional:
             action_counts=[[2.0, 0.0], [0.0, 0.0]],
             alpha=[1e-12, 1e-12],
             beta=[[0.5, 0.5], [0.5, 0.5]],
-            actions=[[0, 0]],
-            assignments=[[0, -1]],
         )
-        probs = gibbs_conditional(state, 0, 1)
+        probs = gibbs_conditional(state, 0, [1.0])
         assert probs[0] > 1.0 - 1e-9
 
     def test_symmetric_tables_are_equally_likely(self):
@@ -144,10 +227,8 @@ class TestGibbsConditional:
             action_counts=[[3.0, 1.0], [3.0, 1.0], [0.0, 0.0]],
             alpha=[2.0, 2.0, 2.0],
             beta=np.full((3, 2), 0.5),
-            actions=[[0, 1, 0]],
-            assignments=[[0, 1, -1]],
         )
-        probs = gibbs_conditional(state, 0, 2)
+        probs = gibbs_conditional(state, 0, [1.0, 1.0])
         assert probs[0] == pytest.approx(probs[1], rel=1e-12)
 
     def test_exhausted_budget_has_no_fresh_entry(self):
@@ -155,23 +236,10 @@ class TestGibbsConditional:
             action_counts=[[1.0, 0.0], [0.0, 1.0]],
             alpha=[1.0, 1.0],
             beta=np.full((2, 2), 0.5),
-            actions=[[0, 1, 0]],
-            assignments=[[0, 1, -1]],
         )
-        probs = gibbs_conditional(state, 0, 2)
+        probs = gibbs_conditional(state, 0, [1.0, 1.0])
         assert len(probs) == 2
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_contiguous_prefix_rejected(self):
-        state = make_state(
-            action_counts=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-            alpha=[1.0, 1.0, 1.0],
-            beta=np.full((3, 2), 0.5),
-            actions=[[0, 1, 0]],
-            assignments=[[1, -1, -1]],  # table 0 skipped
-        )
-        with pytest.raises(RuntimeError):
-            gibbs_conditional(state, 0, 1)
 
     def test_normalized(self):
         rng = np.random.default_rng(0)
@@ -179,12 +247,31 @@ class TestGibbsConditional:
             action_counts=rng.integers(0, 5, size=(4, 3)).astype(float),
             alpha=rng.random(4) + 0.1,
             beta=rng.random((4, 3)) + 0.1,
-            actions=[[0, 2, 1, 0]],
-            assignments=[[0, 0, 1, -1]],
         )
-        probs = gibbs_conditional(state, 0, 3)
+        probs = gibbs_conditional(state, 0, [2.0, 1.0])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(probs) == 3  # two occupied + one fresh
+
+    def test_matches_prefix_rebuild_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            ell = int(rng.integers(1, 13))
+            m = int(rng.integers(1, 6))
+            length = int(rng.integers(1, ell + 1))
+            alpha = rng.random(ell) * 3.0 + 0.05
+            seated = []
+            seats = [seat_next(seated, alpha, rng) for _ in range(length)]
+            actions = rng.integers(0, m, size=length).tolist()
+            for n in range(length):
+                state = make_state(
+                    action_counts=rng.integers(0, 6, size=(ell, m)).astype(float),
+                    alpha=alpha,
+                    beta=rng.random((ell, m)) * 2.0 + 0.05,
+                    actions=[actions],
+                    assignments=[seats[:n] + [-1] * (length - n)],
+                )
+                got = gibbs_conditional(state, actions[n], _occupancy(seats[:n]))
+                assert got.tobytes() == prefix_conditional(state, 0, n).tobytes()
 
 
 def state_with_samples(occupancy, first_seats, action_counts, alpha, beta):
@@ -421,9 +508,9 @@ class TestRunGibbs:
         calls = []
         original = learning.gibbs_conditional
 
-        def counting(state, d, n):
-            calls.append((d, n))
-            return original(state, d, n)
+        def counting(state, a, occupancy):
+            calls.append(a)
+            return original(state, a, occupancy)
 
         monkeypatch.setattr(learning, "gibbs_conditional", counting)
         state = run_gibbs(
@@ -440,6 +527,19 @@ class TestRunGibbs:
         np.testing.assert_array_equal(state.alpha, reference.alpha)
         np.testing.assert_array_equal(state.beta, reference.beta)
         assert state.assignments == reference.assignments
+
+    def test_matches_prefix_rebuild_oracle(self):
+        for seed, ell in ((0, None), (1, None), (2, 3)):
+            rng = np.random.default_rng(110 + seed)
+            corpus = [
+                random_actions_instance(rng, int(rng.integers(1, 7)), 4) for _ in range(10)
+            ]
+            config = tiny_config(iterations=55)  # 15 refit steps after the window
+            got = run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
+            want = prefix_run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
+            assert got.assignments == want.assignments
+            for name in ("averaged_na", "alpha", "beta", "action_counts", "window_alpha"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_budget_override(self):
         rng = np.random.default_rng(102)

@@ -3,13 +3,20 @@
 ``perfbench/tracing.py`` wraps functions at their call sites (for example
 ``generate.compute_constraint`` and ``generate.relation_of``).  A refactor that
 drops or renames one of those names makes ``Tracer.install`` fail with
-``AttributeError``; this test catches that in the unit suite.
+``AttributeError``, and one that renames a parameter its hooks bind (such as
+``run_gibbs``'s ``instances`` or ``realize_timestamps``'s ``network``) breaks a
+traced run; these tests catch both in the unit suite.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from ibgn import generate, learning
+from conftest import random_actions_instance, random_model, tiny_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +39,22 @@ def test_tracer_install_then_uninstall_restores_every_binding():
     assert rebound and all(wrapped)
     for module, attr, original in rebound:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+
+
+def test_traced_training_and_generation_count_their_work():
+    rng = np.random.default_rng(3)
+    corpus = [random_actions_instance(rng, int(rng.integers(2, 5)), 3, label="c") for _ in range(6)]
+    model = random_model(np.random.default_rng(4), vocab_size=3, k_star=5)
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        learning.train_class_model(corpus, ["x", "y", "z"], tiny_config(), np.random.default_rng(5))
+        generate.realize_timestamps(generate.sample_network(model, 5, np.random.default_rng(6)))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts["probe"]
+    assert counts["learning.node_updates"] > 0
+    assert counts["generate.realize_min_checks"] == 5 * 4 // 2
+    traced = {name for _, name, *_ in tracer.spans}
+    assert {"learning.run_gibbs", "generate.realize_timestamps"} <= traced
