@@ -69,7 +69,6 @@ from .network import (
     check_consistency,
     compute_constraint,
     instance_to_network,
-    pad_nulls,
     resolution_order,
     scan_link_constraints,
 )

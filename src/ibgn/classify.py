@@ -42,23 +42,21 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     """Log-score of an instance under one class model (always finite).
 
     ``vocab`` is the instance's own id-to-name vocabulary.  The action term
-    covers every non-null interval; link terms cover the first ``k_star``
-    intervals only (longer instances are truncated for the relation part).
-    An empty instance scores 0.
+    covers every interval; link terms cover the first ``k_star`` intervals
+    only (longer instances are truncated for the relation part).  An empty
+    instance scores 0.
     """
-    observed = [iv for iv in instance.intervals if not iv.is_null]
-    ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in observed]
+    intervals = instance.intervals
+    ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in intervals]
 
     theta_mass = model.theta.sum(axis=0)
     score = 0.0
     for mid in ids:
         score += _log(float(theta_mass[mid - 1])) if mid is not None else math.log(EPS)
 
-    prefix = min(len(observed), model.k_star)
+    prefix = min(len(intervals), model.k_star)
     if prefix >= 2:
-        network = instance_to_network(
-            Instance(label=instance.label, intervals=tuple(observed[:prefix]))
-        )
+        network = instance_to_network(Instance(label=instance.label, intervals=intervals[:prefix]))
         for n_prime, n, constraint, relation in scan_link_constraints(network, model.structure):
             vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action
             if vec is None:

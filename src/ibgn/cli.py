@@ -55,17 +55,7 @@ def _setup_logging() -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        iterations=args.iters,
-        burn_in=args.burnin,
-        avg_window=args.avg_window,
-        structure=args.structure,
-        rho=args.rho,
-        alpha_init=args.alpha_init,
-        beta_init=args.beta_init,
-        clamp_lo=args.clamp_lo,
-        clamp_hi=args.clamp_hi,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +158,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must not be negative, got {args.count}")
     bundle = load_bundle(args.model)
     model = bundle.model_for(args.class_name)
     rng = np.random.default_rng(args.seed)
@@ -222,15 +214,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
+    """One flag per :class:`TrainConfig` field, stored under the field's name."""
     default = TrainConfig()
-    sub.add_argument("--structure", choices=_STRUCTURE_MODES, default=default.structure)
+    sub.add_argument("--structure", choices=_STRUCTURE_MODES, default=default.structure, dest="structure")
     sub.add_argument(
-        "--iters", type=int, default=default.iterations,
+        "--iters", type=int, default=default.iterations, dest="iterations", metavar="ITERS",
         help="total iterations: burn-in and window Gibbs sweeps, then refit steps",
     )
-    sub.add_argument("--burnin", type=int, default=default.burn_in)
+    sub.add_argument("--burnin", type=int, default=default.burn_in, dest="burn_in", metavar="BURNIN")
     sub.add_argument("--avg-window", type=int, default=default.avg_window, dest="avg_window")
-    sub.add_argument("--rho", type=float, default=default.rho, help="relation-count smoothing")
+    sub.add_argument("--rho", type=float, default=default.rho, dest="rho", help="relation-count smoothing")
     sub.add_argument("--alpha-init", type=float, default=default.alpha_init, dest="alpha_init")
     sub.add_argument("--beta-init", type=float, default=default.beta_init, dest="beta_init")
     sub.add_argument("--clamp-lo", type=float, default=default.clamp_lo, dest="clamp_lo")
@@ -305,6 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (IbgnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

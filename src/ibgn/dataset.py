@@ -4,7 +4,9 @@ The on-disk format is JSON Lines: one object per instance with an optional
 ``label`` and a list of ``intervals``, each ``{"action": name, "start": t0,
 "end": t1}``.  Loading sorts every instance canonically and interns action
 and class names in first-appearance order; action id ``i`` (1-based) is
-``vocab[i - 1]`` and 0 stays reserved for the null padding action.
+``vocab[i - 1]``.  An instance holds only its observed intervals; id 0 is
+the null action, which only BIC structure learning reads, at the nodes past
+an instance's end.
 """
 
 from __future__ import annotations
@@ -57,17 +59,21 @@ class Corpus:
 def _require_number(value, line_no: int, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(line_no, f"{what} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ParseError(line_no, f"{what} must be finite, got {value!r}")
-    return value
+    return number
 
 
 def load_instances(path) -> Corpus:
     """Read a JSONL corpus; blank lines are ignored.
 
-    Raises :class:`ParseError` (with the line number) on malformed records
-    and :class:`DegenerateInterval` on intervals with start >= end.
+    Raises :class:`ParseError` (with the line number) on malformed or too
+    deeply nested records and :class:`DegenerateInterval` on intervals with
+    start >= end.
     """
     instances: List[Instance] = []
     vocab: List[str] = []
@@ -82,6 +88,10 @@ def load_instances(path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(line_no, "JSON nested too deeply") from exc
+            except ValueError as exc:  # an integer with more digits than the interpreter converts
+                raise ParseError(line_no, f"invalid JSON ({exc})") from exc
             if not isinstance(record, dict) or not isinstance(record.get("intervals"), list):
                 raise ParseError(line_no, "record must be an object with an 'intervals' list")
             label = record.get("label")
@@ -124,7 +134,6 @@ def save_instances(corpus: Corpus, path) -> None:
                     "end": iv.end,
                 }
                 for iv in inst.intervals
-                if not iv.is_null
             ]
             handle.write(json.dumps(record) + "\n")
 
@@ -181,7 +190,7 @@ def perturb_labels(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
     for inst in corpus.instances:
         intervals = []
         for iv in inst.intervals:
-            if not iv.is_null and vocab_size >= 2 and rng.random() < rate:
+            if vocab_size >= 2 and rng.random() < rate:
                 shifted = int(rng.integers(vocab_size - 1)) + 1
                 new_action = shifted if shifted < iv.action else shifted + 1
                 iv = Interval(action=new_action, start=iv.start, end=iv.end)
@@ -205,9 +214,6 @@ def perturb_durations(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
     for inst in corpus.instances:
         intervals = []
         for iv in inst.intervals:
-            if iv.is_null:
-                intervals.append(iv)
-                continue
             reach = rate * (iv.end - iv.start)
             start = iv.start + rng.uniform(-reach, reach)
             end = iv.end + rng.uniform(-reach, reach)

@@ -36,10 +36,6 @@ class Unrealizable(IbgnError, RuntimeError):
     """A network's relations admit no placement of its intervals on a timeline."""
 
 
-class InstanceTooLong(IbgnError, ValueError):
-    """An instance exceeds the padding target length."""
-
-
 class ConfigInvalid(IbgnError, ValueError):
     """A training configuration fails validation."""
 

@@ -49,7 +49,6 @@ from .network import (
     IntervalNetwork,
     StructureMask,
     instance_to_network,
-    pad_nulls,
     scan_link_constraints,
 )
 
@@ -296,15 +295,14 @@ def run_gibbs(
 ) -> SamplerState:
     """Fit table assignments and hyperparameters on one class's instances.
 
-    Nulls never enter the sampler.  Assignments are initialized by a
-    sequential draw from the seating prior; each of the first
-    ``burn_in + avg_window`` sweeps then reseats every node of every instance
-    in order, at the initial hyperparameters.  Both walk an instance with a
-    running occupancy of its earlier nodes: a sweep removes the node's count,
-    draws its table from :func:`gibbs_conditional`, adds the count back and
-    counts the table in the occupancy.  Each of the ``avg_window``
-    sweeps after burn-in adds its per-instance count histograms to the window
-    sums that ``averaged_na`` and the refit read.  The sweeps stop when the
+    Assignments are initialized by a sequential draw from the seating prior;
+    each of the first ``burn_in + avg_window`` sweeps then reseats every node
+    of every instance in order, at the initial hyperparameters.  Both walk an
+    instance with a running occupancy of its earlier nodes: a sweep removes
+    the node's count, draws its table from :func:`gibbs_conditional`, adds
+    the count back and counts the table in the occupancy.  Each of the
+    ``avg_window`` sweeps after burn-in adds its per-instance count
+    histograms to the window sums that ``averaged_na`` and the refit read.  The sweeps stop when the
     window closes, since nothing reads a later seating: the remaining
     ``iterations - burn_in - avg_window`` steps are fixed-point refits over
     the window sums alone, so the returned hyperparameters approach the
@@ -314,9 +312,7 @@ def run_gibbs(
     """
     if not instances:
         raise EmptyCorpus("cannot run the sampler on an empty corpus")
-    actions = [
-        [iv.action - 1 for iv in inst.intervals if not iv.is_null] for inst in instances
-    ]
+    actions = [[iv.action - 1 for iv in inst.intervals] for inst in instances]
     for inst_actions in actions:
         for a in inst_actions:
             if not 0 <= a < vocab_size:
@@ -451,7 +447,8 @@ class BicFamilyCounts:
     """Sufficient statistics of one pair's relation variable.
 
     Relation codes are 0..6 for the forward relations and 7 for null; parent
-    configurations are the two node actions (0 = null).
+    configurations are the two node actions (0 = null).  A node at or past a
+    network's end is null, as is any relation that touches it.
     """
 
     joint: Mapping[Tuple[Tuple[int, int], int], int]
@@ -466,7 +463,11 @@ def _family_counts(
     joint: Counter = Counter()
     marginal: Counter = Counter()
     for net in networks:
-        parents = (net.actions[i], net.actions[j])
+        actions = net.actions
+        parents = (
+            actions[i] if i < len(actions) else NULL_ACTION,
+            actions[j] if j < len(actions) else NULL_ACTION,
+        )
         relation = net.relations.get((i, j))
         code = NULL_RELATION_CODE if relation is None else relation.value
         joint[(parents, code)] += 1
@@ -509,14 +510,15 @@ def learn_structure(instances: Sequence[Instance], vocab_size: int) -> Structure
     The score decomposes over pairs, so each pair is linked exactly when
     conditioning its relation on the two actions scores strictly better than
     leaving it marginal — which is simultaneously the global argmax over all
-    masks.  All instances are padded to the longest length with nulls first.
+    masks.  Pairs range over the longest instance's nodes; a shorter
+    instance counts as null at the nodes past its end.
     """
     if not instances:
         raise EmptyCorpus("cannot learn structure from an empty corpus")
     k_star = max(len(inst) for inst in instances)
     if k_star == 0:
         raise EmptyCorpus("every instance is empty")
-    networks = [instance_to_network(pad_nulls(inst, k_star)) for inst in instances]
+    networks = [instance_to_network(inst) for inst in instances]
     links = []
     for i in range(k_star):
         for j in range(i + 1, k_star):
@@ -539,17 +541,16 @@ def train_class_model(
     """Fit one class's full generative model from its labeled instances."""
     if not instances:
         raise EmptyCorpus("cannot train on an empty corpus")
-    instances = [inst for inst in instances if inst.observed_length > 0]
+    instances = [inst for inst in instances if len(inst) > 0]
     if not instances:
         raise EmptyCorpus("every instance is empty")
-    k_star = max(inst.observed_length for inst in instances)
+    k_star = max(len(inst) for inst in instances)
     if config.structure == "chain":
         mask = StructureMask.chain(k_star)
     elif config.structure == "full":
         mask = StructureMask.full(k_star)
     else:
         mask = learn_structure(instances, len(vocab))
-        mask = StructureMask.of((i, j) for i, j in mask.links if j < k_star)
     state = run_gibbs(instances, len(vocab), config, rng, ell=k_star)
     averaged_na = state.averaged_na
     theta = estimate_theta(averaged_na, state.beta)
@@ -563,7 +564,7 @@ def train_class_model(
         structure=mask,
         phi=phi,
         action_vocab=tuple(vocab),
-        size_histogram=dict(Counter(inst.observed_length for inst in instances)),
+        size_histogram=dict(Counter(len(inst) for inst in instances)),
     )
     model.validate()
     # diagnostic breadcrumb for the CLI summary; not part of the model proper

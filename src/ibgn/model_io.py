@@ -110,10 +110,16 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`; raise
-    :class:`~ibgn.errors.BundleInvalid` for another schema version or shape,
-    or for parameters that do not decode or do not validate."""
+    :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
+    deeply, for another schema version or shape, or for parameters that do
+    not decode or do not validate."""
     with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError as exc:  # also an integer with more digits than the interpreter converts
+            raise BundleInvalid(f"model bundle is not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise BundleInvalid("model bundle JSON is nested too deeply") from exc
     if not isinstance(document, dict):
         raise BundleInvalid(f"model bundle must be a JSON object, not {type(document).__name__}")
     version = document.get("schema_version")
@@ -125,6 +131,6 @@ def load_bundle(path) -> ModelBundle:
         models = {name: _decode_model(document["models"][name], vocab) for name in classes}
     except KeyError as exc:
         raise BundleInvalid(f"model bundle has no entry {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise BundleInvalid(f"malformed model bundle: {exc}") from exc
     return ModelBundle(vocab=vocab, classes=classes, models=models)

@@ -1,9 +1,9 @@
 """Interval networks: timestamped instances, derived relations, constraints.
 
-An *instance* is a canonically ordered sequence of action intervals.  Viewed
-pairwise it induces a complete network of forward relations; padded positions
-(the null action, used to bring instances to a common length) carry no
-temporal information and their relations are null.
+An *instance* is a canonically ordered sequence of its observed action
+intervals; viewed pairwise it induces a complete network of forward
+relations.  Instances are never padded: only BIC structure learning reads a
+node past an instance's end, as the null action with a null relation.
 
 ``compute_constraint`` implements the interval-relation constraint: the set
 of relations a node pair may take given everything already fixed between and
@@ -17,12 +17,11 @@ ascending, earlier node descending), which lists a span's inner pairs first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebra import BaseRelation, FULL_SET, RelationSet, compose_sets, relation_of
-from .errors import EmptyConstraint, InstanceTooLong
+from .errors import EmptyConstraint
 
 __all__ = [
     "NULL_ACTION",
@@ -37,10 +36,9 @@ __all__ = [
     "resolution_order",
     "ConstraintMatrix",
     "scan_link_constraints",
-    "pad_nulls",
 ]
 
-NULL_ACTION = 0
+NULL_ACTION = 0  # the action BIC structure learning reads past an instance's end
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,6 @@ class Interval:
     action: int
     start: float
     end: float
-
-    @classmethod
-    def null(cls) -> "Interval":
-        return cls(NULL_ACTION, math.inf, math.inf)
 
     @property
     def is_null(self) -> bool:
@@ -78,11 +72,6 @@ class Instance:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    @property
-    def observed_length(self) -> int:
-        """Number of non-null intervals (nulls only ever pad the rear)."""
-        return sum(1 for iv in self.intervals if not iv.is_null)
-
     def is_canonical(self) -> bool:
         keys = [_canonical_key(iv) for iv in self.intervals]
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
@@ -97,8 +86,8 @@ class IntervalNetwork:
     """Node actions plus relations on whichever pairs carry one.
 
     ``relations`` maps ``(i, j)`` with ``i < j`` to a base relation; pairs
-    that are absent are null — either a padded endpoint or an unobserved
-    (non-link) pair of a generated network.
+    that are absent are null — the unobserved (non-link) pairs of a
+    generated network.
     """
 
     actions: Tuple[int, ...]
@@ -154,23 +143,19 @@ class StructureMask:
 
 
 def instance_to_network(instance: Instance) -> IntervalNetwork:
-    """Derive the complete relation network over the non-null intervals.
+    """Derive the complete relation network over the instance's intervals.
 
     The instance must be canonically ordered (the dataset loader guarantees
     this); otherwise :class:`~ibgn.errors.OrderViolation` propagates from the
     pairwise relation computation.
     """
     intervals = instance.intervals
-    actions = tuple(iv.action for iv in intervals)
-    relations: Dict[Tuple[int, int], BaseRelation] = {}
-    for i in range(len(intervals)):
-        if intervals[i].is_null:
-            continue
-        for j in range(i + 1, len(intervals)):
-            if intervals[j].is_null:
-                continue
-            relations[(i, j)] = relation_of(intervals[i].times, intervals[j].times)
-    return IntervalNetwork(actions=actions, relations=relations)
+    relations = {
+        (i, j): relation_of(intervals[i].times, intervals[j].times)
+        for i in range(len(intervals))
+        for j in range(i + 1, len(intervals))
+    }
+    return IntervalNetwork(actions=tuple(iv.action for iv in intervals), relations=relations)
 
 
 def check_consistency(network: IntervalNetwork) -> ConsistencyReport:
@@ -254,27 +239,15 @@ def scan_link_constraints(
 ) -> Iterator[Tuple[int, int, RelationSet, BaseRelation]]:
     """Replay an observed network's link constraints in resolution order.
 
-    For every structure link ``(n', n)`` inside the observed prefix (the
-    nodes before any trailing nulls) this yields ``(n', n, constraint,
-    relation)``: the network's relation and the constraint the links inside
-    the pair's span allow (singletons of their observed relations, composed
-    where no link fixes an entry) — the exact quantity the relation
-    distributions are conditioned on, during both training and scoring.
+    For every structure link ``(n', n)`` inside the network this yields
+    ``(n', n, constraint, relation)``: the network's relation and the
+    constraint the links inside the pair's span allow (singletons of their
+    observed relations, composed where no link fixes an entry) — the exact
+    quantity the relation distributions are conditioned on, during both
+    training and scoring.
     """
-    observed = network.size
-    while observed and network.actions[observed - 1] == NULL_ACTION:
-        observed -= 1
-    links = [pair for pair in resolution_order(0, observed - 1) if pair in mask.links]
+    links = [pair for pair in resolution_order(0, network.size - 1) if pair in mask.links]
     x = ConstraintMatrix((pair, RelationSet.of(network.relations[pair])) for pair in links)
     for n_prime, n in links:
         yield n_prime, n, compute_constraint(x, n_prime, n), network.relations[(n_prime, n)]
 
-
-def pad_nulls(instance: Instance, target_length: int) -> Instance:
-    """Append null intervals at the rear until the instance has the target length."""
-    if len(instance) > target_length:
-        raise InstanceTooLong(
-            f"instance has {len(instance)} intervals, target is {target_length}"
-        )
-    padding = tuple(Interval.null() for _ in range(target_length - len(instance)))
-    return replace(instance, intervals=instance.intervals + padding)

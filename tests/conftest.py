@@ -20,7 +20,6 @@ from ibgn import (
     TrainConfig,
     bic_family_score,
     instance_to_network,
-    pad_nulls,
 )
 from ibgn.learning import _family_counts
 
@@ -191,7 +190,7 @@ def exhaustive_structure_oracle(instances, vocab_size) -> StructureMask:
     on linked pairs, marginal otherwise); ties keep the earlier bitmask.
     """
     k_star = max(len(inst) for inst in instances)
-    networks = [instance_to_network(pad_nulls(inst, k_star)) for inst in instances]
+    networks = [instance_to_network(inst) for inst in instances]
     pairs = list(itertools.combinations(range(k_star), 2))
     scores = {}
     for pair in pairs:

@@ -161,7 +161,7 @@ def test_criterion_06_constraint_soundness():
         checked = 0
         for inst in instances:
             net = instance_to_network(inst)
-            k = inst.observed_length
+            k = len(inst)
             for mask in (StructureMask.chain(k), StructureMask.full(k), learned):
                 for _np, _n, constraint, rel in scan_link_constraints(net, mask):
                     assert rel in constraint

@@ -15,7 +15,7 @@ from ibgn import (
     ModelBundle, StructureMask, TrainConfig, load_bundle, load_instances, save_bundle,
     save_instances,
 )
-from ibgn.cli import main
+from ibgn.cli import _config_from_args, build_parser, main
 from ibgn.dataset import build_synthetic_corpus
 from conftest import (
     MALFORMED_BUNDLE_CASES, child_env, malformed_bundle, random_model, two_class_models,
@@ -99,6 +99,17 @@ class TestTrain:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_every_training_flag_sets_its_config_field(self):
+        args = build_parser().parse_args(
+            ["train", "--input", "in.jsonl", "--out", "out.json", "--structure", "full",
+             "--iters", "70", "--burnin", "20", "--avg-window", "30", "--rho", "0.25",
+             "--alpha-init", "2.5", "--beta-init", "0.75", "--clamp-lo", "0.001", "--clamp-hi", "50"]
+        )
+        assert _config_from_args(args) == TrainConfig(
+            iterations=70, burn_in=20, avg_window=30, structure="full", rho=0.25,
+            alpha_init=2.5, beta_init=0.75, clamp_lo=0.001, clamp_hi=50.0,
+        )
 
     def test_invalid_config_fails_cleanly(self, corpus_path, tmp_path, capsys):
         code = main(
@@ -192,6 +203,21 @@ class TestPredict:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "text", ["hello", '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["not_json", "deeply_nested"]
+    )
+    def test_unreadable_bundle_fails_cleanly(self, corpus_path, tmp_path, capsys, text):
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
+        code = main(
+            ["predict", "--model", str(path), "--input", str(corpus_path),
+             "--out", str(tmp_path / "pred.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: model bundle ") and err.count("\n") == 1
+
+
 class TestEval:
     def test_report_and_confusion(self, corpus_path, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -271,7 +297,7 @@ class TestGenerate:
         assert len(corpus) == 5
         for inst in corpus.instances:
             assert inst.label == "brew"
-            assert inst.observed_length == 3
+            assert len(inst) == 3
 
     def test_sizes_from_histogram(self, bundle_path, tmp_path):
         out = tmp_path / "gen.jsonl"
@@ -282,7 +308,7 @@ class TestGenerate:
         bundle = load_bundle(bundle_path)
         allowed = set(bundle.models["assemble"].size_histogram)
         corpus = load_instances(out)
-        assert {inst.observed_length for inst in corpus.instances} <= allowed
+        assert {len(inst) for inst in corpus.instances} <= allowed
 
     def test_deterministic_per_seed(self, bundle_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -301,6 +327,18 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "flags", [["--count", "-2"], ["--count", "2", "--jobs", "-3"], ["--count", "2", "--jobs", "0"]],
+        ids=["negative_count", "negative_jobs", "zero_jobs"],
+    )
+    def test_bad_counts_fail_cleanly(self, bundle_path, tmp_path, capsys, flags):
+        out = tmp_path / "gen.jsonl"
+        code = main(["generate", "--model", str(bundle_path), "--class", "brew", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --")
+        assert not out.exists()
 
     def test_unrealizable_network_fails_cleanly(self, tmp_path, capsys):
         # a valid bundle whose mask is neither a chain nor full: with this
@@ -378,6 +416,13 @@ class TestAlgebra:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 16
         assert all(line.endswith(": consistent") for line in lines)
+
+    def test_check_deeply_nested_corpus_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["algebra", "check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 1: JSON nested too deeply\n"
 
 
 class TestEntryPoint:

@@ -92,6 +92,21 @@ class TestLoadInstances:
             load_instances(path)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "zeros,fragment", [(400, "line 2: end must be finite"), (5000, "line 2: invalid JSON")],
+        ids=["beyond_a_double", "beyond_the_digit_limit"],
+    )
+    def test_long_number_is_a_parse_error(self, tmp_path, zeros, fragment):
+        line = '{"intervals": [{"action": "a", "start": 0, "end": 1%s}]}' % ("0" * zeros)
+        path = write_lines(tmp_path, record(None, ("a", 0, 1)), line)
+        with pytest.raises(ParseError, match=fragment):
+            load_instances(path)
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path):
+        path = write_lines(tmp_path, record(None, ("a", 0, 1)), "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
+            load_instances(path)
+
     def test_degenerate_interval_carries_line_number(self, tmp_path):
         path = write_lines(
             tmp_path, record(None, ("a", 0, 1)), record(None, ("a", 2, 2))
@@ -303,7 +318,7 @@ class TestBuildSyntheticCorpus:
         models = two_class_models(k_star=5)
         corpus = build_synthetic_corpus(models, per_class=30, seed=22)
         allowed = set(models["assemble"].size_histogram)
-        assert {inst.observed_length for inst in corpus.instances} <= allowed
+        assert {len(inst) for inst in corpus.instances} <= allowed
 
     def test_deterministic_per_seed(self):
         models = two_class_models()

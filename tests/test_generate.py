@@ -216,7 +216,7 @@ class TestRealizeTimestamps:
             net = sample_network(model, k=k, rng=rng)
             inst = realize_timestamps(net, label="x")
             assert inst.label == "x"
-            assert inst.observed_length == k
+            assert len(inst) == k
             assert inst.is_canonical
             realized = instance_to_network(inst)
             for (i, j), rel in net.relations.items():

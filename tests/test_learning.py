@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from ibgn import (
     FULL_SET,
     Instance,
     Interval,
+    NULL_ACTION,
     NULL_RELATION_CODE,
     SamplerState,
     StructureMask,
@@ -25,6 +27,7 @@ from ibgn import (
     estimate_phi,
     estimate_theta,
     gibbs_conditional,
+    instance_to_network,
     learn_structure,
     run_gibbs,
     train_class_model,
@@ -150,7 +153,7 @@ def prefix_run_gibbs(instances, vocab_size, config, rng, ell=None):
     """Oracle for ``run_gibbs``: the same prior draw and sweep order, each node
     reseated through ``prefix_conditional``, and the window histograms counted
     instance by instance."""
-    actions = [[iv.action - 1 for iv in inst.intervals if not iv.is_null] for inst in instances]
+    actions = [[iv.action - 1 for iv in inst.intervals] for inst in instances]
     longest = max(len(a) for a in actions)
     ell = ell or longest
     cap = longest + 1
@@ -448,15 +451,15 @@ class TestRunGibbs:
         rng = np.random.default_rng(101)
         corpus = self._corpus(rng, count=8)
         result = run_gibbs(corpus, 3, tiny_config(), np.random.default_rng(2))
-        longest = max(inst.observed_length for inst in corpus)
+        longest = max(len(inst) for inst in corpus)
         assert result.averaged_na.shape == (longest, 3)
         assert len(result.assignments) == len(corpus)
         # every node is seated somewhere at the end of the run
         for d, inst in enumerate(corpus):
             seats = result.assignments[d]
-            assert len(seats) == inst.observed_length and all(0 <= z < longest for z in seats)
+            assert len(seats) == len(inst) and all(0 <= z < longest for z in seats)
         assert result.averaged_na.sum() == pytest.approx(
-            sum(inst.observed_length for inst in corpus)
+            sum(len(inst) for inst in corpus)
         )
 
     def test_window_sums_count_every_instance_and_node(self):
@@ -473,7 +476,7 @@ class TestRunGibbs:
         np.testing.assert_array_equal(state.window_alpha.sum(axis=1), window * count)
         np.testing.assert_array_equal(state.window_action.sum(axis=2), window * count)
         # the histogram of occupancy counts weighs back to every seated node
-        nodes = sum(inst.observed_length for inst in corpus)
+        nodes = sum(len(inst) for inst in corpus)
         assert (state.window_table * np.arange(cap)).sum() == window * nodes
         assert (state.window_alpha * np.arange(cap)).sum() == window * (nodes - count)
         assert (state.window_action * np.arange(cap)).sum() == window * nodes
@@ -502,7 +505,7 @@ class TestRunGibbs:
     def test_refit_tail_runs_no_sweeps(self, monkeypatch):
         rng = np.random.default_rng(105)
         corpus = self._corpus(rng, count=8)
-        nodes = sum(inst.observed_length for inst in corpus)
+        nodes = sum(len(inst) for inst in corpus)
         closed = tiny_config()  # the window closes on the last iteration
         tail = 25
         calls = []
@@ -689,6 +692,54 @@ class TestBic:
             ]
             assert learn_structure(corpus, 2) == exhaustive_structure_oracle(corpus, 2)
 
+    @staticmethod
+    def _ragged_dependent_corpus(rng, count):
+        """Instances of 1-5 intervals; each relation to the previous interval
+        is before on a repeated action and overlaps otherwise."""
+        corpus = []
+        for _ in range(count):
+            actions = [int(a) for a in rng.integers(1, 3, size=int(rng.integers(1, 6)))]
+            start, end = 0.0, 2.0
+            intervals = [Interval(actions[0], start, end)]
+            for previous, action in zip(actions, actions[1:]):
+                if action == previous:
+                    start, end = end + 1.0, end + 3.0
+                else:
+                    start, end = start + 1.0, end + 1.0
+                intervals.append(Interval(action, start, end))
+            corpus.append(Instance(label=None, intervals=tuple(intervals)))
+        return corpus
+
+    def test_family_counts_read_nodes_past_the_end_as_null(self):
+        """Oracle: pad every network's actions with the null action to k*
+        and count (parents, relation code) over the padded networks."""
+
+        def padded_oracle(networks, i, j, vocab_size):
+            k_star = max(net.size for net in networks)
+            joint, marginal = Counter(), Counter()
+            for net in networks:
+                actions = net.actions + (NULL_ACTION,) * (k_star - net.size)
+                relation = net.relations.get((i, j))
+                code = NULL_RELATION_CODE if relation is None else relation.value
+                joint[((actions[i], actions[j]), code)] += 1
+                marginal[code] += 1
+            return BicFamilyCounts(
+                joint=dict(joint), marginal=dict(marginal),
+                dataset_size=len(networks), vocab_size=vocab_size,
+            )
+
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            corpus = self._ragged_dependent_corpus(rng, int(rng.integers(150, 400)))
+            assert len(learn_structure(corpus, 2)) > 0
+            networks = [instance_to_network(inst) for inst in corpus]
+            k_star = max(net.size for net in networks)
+            assert min(net.size for net in networks) < k_star
+            for i in range(k_star):
+                for j in range(i + 1, k_star):
+                    expected = padded_oracle(networks, i, j, 2)
+                    assert learning._family_counts(networks, i, j, 2) == expected
+
     def test_ragged_instances_padded(self):
         corpus = [make_instance((1, 0, 1)), make_instance((1, 0, 1), (2, 2, 3))]
         mask = learn_structure(corpus, vocab_size=2)
@@ -713,7 +764,7 @@ class TestTrainClassModel:
             corpus, ["x", "y", "z"], tiny_config(), np.random.default_rng(1)
         )
         model.validate()
-        assert model.k_star == max(inst.observed_length for inst in corpus)
+        assert model.k_star == max(len(inst) for inst in corpus)
         assert model.ell == model.k_star
         assert model.action_vocab == ("x", "y", "z")
         assert sum(model.size_histogram.values()) == len(corpus)

@@ -101,6 +101,26 @@ class TestErrors:
         with pytest.raises(ValueError):
             load_bundle(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["hello", '{"schema_version": 1', '{"a": ' * 100_000 + "1" + "}" * 100_000, "1" * 5000],
+        ids=["not_json", "truncated", "deeply_nested", "too_many_digits"],
+    )
+    def test_unreadable_json_is_typed(self, tmp_path, text):
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
+        with pytest.raises(BundleInvalid):
+            load_bundle(path)
+
+    def test_parameter_beyond_a_double_is_typed(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(path, make_bundle())
+        doc = json.loads(path.read_text())
+        doc["models"]["brew"]["alpha"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleInvalid):
+            load_bundle(path)
+
     @pytest.mark.parametrize("case", MALFORMED_BUNDLE_CASES)
     def test_malformed_bundle_is_typed(self, tmp_path, case):
         path = tmp_path / "bundle.json"

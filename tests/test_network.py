@@ -14,20 +14,18 @@ from ibgn import (
     FULL_SET,
     Instance,
     Interval,
-    NULL_ACTION,
     RelationSet,
     StructureMask,
     check_consistency,
     compose_sets,
     compute_constraint,
     instance_to_network,
-    pad_nulls,
     relation_of,
     resolution_order,
     scan_link_constraints,
 )
 from ibgn import network as network_module
-from ibgn.errors import EmptyConstraint, InstanceTooLong, OrderViolation
+from ibgn.errors import EmptyConstraint, OrderViolation
 from conftest import random_actions_instance, random_instance
 
 B, M, O, S, C, F, EQ = BaseRelation
@@ -41,28 +39,11 @@ def make_instance(*triples, label=None):
 
 
 class TestIntervalAndInstance:
-    def test_null_interval(self):
-        n = Interval.null()
-        assert n.is_null
-        assert n.action == NULL_ACTION
-
     def test_canonicalized_sorts_by_start_then_end(self):
         inst = make_instance((1, 5, 6), (2, 0, 4), (3, 0, 2))
         ordered = inst.canonicalized()
         assert [iv.times for iv in ordered.intervals] == [(0.0, 2.0), (0.0, 4.0), (5.0, 6.0)]
         assert inst.canonicalized().is_canonical
-
-    def test_observed_length_ignores_padding(self):
-        inst = make_instance((1, 0, 1), (2, 2, 3))
-        padded = pad_nulls(inst, 5)
-        assert padded.observed_length == 2
-        assert len(padded.intervals) == 5
-        assert all(iv.is_null for iv in padded.intervals[2:])
-
-    def test_pad_nulls_rejects_overlong(self):
-        inst = make_instance((1, 0, 1), (2, 2, 3), (3, 4, 5))
-        with pytest.raises(InstanceTooLong):
-            pad_nulls(inst, 2)
 
 
 class TestInstanceToNetwork:
@@ -72,13 +53,6 @@ class TestInstanceToNetwork:
         assert net.relation(0, 1) is M
         assert net.relation(0, 2) is M
         assert net.relation(1, 2) is S
-
-    def test_null_padding_keeps_positions_but_adds_no_relations(self):
-        inst = pad_nulls(make_instance((1, 0, 2), (2, 3, 4)), 4)
-        net = instance_to_network(inst)
-        assert net.actions == (1, 2, NULL_ACTION, NULL_ACTION)
-        assert set(net.relations) == {(0, 1)}
-        assert net.relation(0, 1) is B
 
     def test_non_canonical_rejected(self):
         inst = make_instance((1, 5, 6), (2, 0, 1))
@@ -175,16 +149,12 @@ class TestStructureMask:
         assert len(StructureMask.chain(1)) == 0
 
 
-def reference_scan(network, mask, observed=None):
+def reference_scan(network, mask):
     """Oracle for ``scan_link_constraints``: the eager walk that composes
     every pair's constraint in resolution order and keeps the singleton of
     the observed relation on each link."""
-    if observed is None:
-        observed = network.size
-        while observed and network.actions[observed - 1] == NULL_ACTION:
-            observed -= 1
     x = {}
-    for n in range(1, observed):
+    for n in range(1, network.size):
         for n_prime in range(n - 1, -1, -1):
             constraint = compute_constraint(x, n_prime, n)
             if (n_prime, n) in mask:
@@ -270,12 +240,6 @@ class TestScanLinkConstraints:
             (0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3),
         ]
 
-    def test_padded_instances_stop_at_observed_prefix(self):
-        inst = pad_nulls(make_instance((1, 0, 1), (2, 2, 3)), 5)
-        net = instance_to_network(inst)
-        rows = list(scan_link_constraints(net, StructureMask.full(5)))
-        assert [(i, j) for i, j, _, _ in rows] == [(0, 1)]
-
 
 class TestScanMatchesEagerWalk:
     def test_rows_and_order_match_reference(self):
@@ -283,11 +247,10 @@ class TestScanMatchesEagerWalk:
         scanned = 0
         for _ in range(320):
             k = int(rng.integers(1, 9))
-            inst = random_actions_instance(rng, k, 4)
-            if rng.random() < 0.25:
-                inst = pad_nulls(inst, k + int(rng.integers(1, 3)))
-            net = instance_to_network(inst)
-            size = len(inst)
+            net = instance_to_network(random_actions_instance(rng, k, 4))
+            size = k
+            if rng.random() < 0.25:  # masks reaching past the network, as when scoring a short instance
+                size += int(rng.integers(1, 3))
             random_mask = StructureMask.of(
                 (a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.4
             )
