@@ -50,7 +50,6 @@ from .learning import (
     digamma,
     estimate_phi,
     estimate_theta,
-    gibbs_conditional,
     learn_structure,
     run_gibbs,
     train_bundle,

@@ -78,8 +78,7 @@ def load_instances(path) -> Corpus:
     instances: List[Instance] = []
     vocab: List[str] = []
     action_ids: Dict[str, int] = {}
-    classes: List[str] = []
-    seen_classes = set()
+    classes: Dict[str, str] = {}  # first-appearance order; one string object per label
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -113,11 +112,10 @@ def load_instances(path) -> Corpus:
                     action_ids[name] = len(vocab) + 1
                     vocab.append(name)
                 intervals.append(Interval(action=action_ids[name], start=start, end=end))
-            if label is not None and label not in seen_classes:
-                seen_classes.add(label)
-                classes.append(label)
+            if label is not None:
+                label = classes.setdefault(label, label)
             instances.append(Instance(label=label, intervals=tuple(intervals)).canonicalized())
-    return Corpus(instances=instances, vocab=vocab, classes=classes)
+    return Corpus(instances=instances, vocab=vocab, classes=list(classes))
 
 
 def save_instances(corpus: Corpus, path) -> None:

@@ -21,6 +21,7 @@ a network into integer timestamps by constructive search, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -175,6 +176,13 @@ def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generato
     return table
 
 
+@lru_cache(maxsize=None)
+def _pair_order(k: int) -> Tuple[Tuple[int, int], ...]:
+    """``resolution_order(0, k - 1)`` as one tuple per size, so sampled
+    networks key their relations by shared pair objects."""
+    return tuple(resolution_order(0, k - 1))
+
+
 def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
     """Sample a k-node network: actions plus link relations.
 
@@ -194,18 +202,19 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     actions = [next_action()]
     x = ConstraintMatrix()
     relations = {}
-    for n_prime, n in resolution_order(0, k - 1):
+    for pair in _pair_order(k):
+        n_prime, n = pair
         if n_prime == n - 1:
             actions.append(next_action())
-        if (n_prime, n) in model.structure:
+        if pair in model.structure:
             constraint = compute_constraint(x, n_prime, n)
             members = constraint.members
             probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
             if probs is None:
                 probs = np.full(len(members), 1.0 / len(members))
             relation = members[_draw(probs, rng)]
-            x[(n_prime, n)] = RelationSet.of(relation)
-            relations[(n_prime, n)] = relation
+            x[pair] = RelationSet.of(relation)
+            relations[pair] = relation
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
@@ -226,6 +235,13 @@ def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tu
                 return True
             chosen.pop()
     return False
+
+
+@lru_cache(maxsize=1024)
+def _grid_interval(action: int, start: int, end: int) -> Interval:
+    """The immutable interval of ``action`` on grid points ``start < end``,
+    shared by every realized instance that places it there."""
+    return Interval(action=action, start=float(start), end=float(end))
 
 
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
@@ -257,10 +273,7 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
     chosen: List[Tuple[int, int]] = []
     if not _place(chosen, fixed, list(combinations(range(2 * k + 1), 2))):
         raise Unrealizable("no placement of the intervals satisfies every relation of the network")
-    intervals = tuple(
-        Interval(action=network.actions[n], start=float(s), end=float(e))
-        for n, (s, e) in enumerate(chosen)
-    )
+    intervals = tuple(_grid_interval(network.actions[n], s, e) for n, (s, e) in enumerate(chosen))
     return Instance(label=label, intervals=intervals)
 
 

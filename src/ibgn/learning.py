@@ -2,14 +2,14 @@
 
 Tables are latent: the likelihood of the per-table action distributions is
 collapsed out, and a Gibbs sweep reseats every node of every instance in
-order.  The conditional for one node multiplies a Dirichlet-multinomial
-likelihood factor (corpus-wide table/action counts with the node removed) by
-a sequential seating factor that conditions on the occupancy of that
-instance's *earlier* nodes only — so occupied tables always form a contiguous
-prefix of the table budget within an instance.  The sweep keeps that
-occupancy as a running per-table count while it walks the instance, counted
-with the same step (:func:`~ibgn.generate.count_seat`) as the prior draw and
-the generator.
+order, in one loop per instance over plain lists.  A node's weight for a
+table multiplies a Dirichlet-multinomial likelihood factor (corpus-wide
+table/action counts with the node removed) by a sequential seating factor
+that conditions on the occupancy of that instance's *earlier* nodes only —
+so occupied tables always form a contiguous prefix of the table budget
+within an instance.  The sweep keeps that occupancy as a running count
+(:func:`~ibgn.generate.count_seat`, as the prior draw and the generator do)
+and normalizes and draws inline, in numpy's summation order.
 
 The concentration parameters are refit by multiplicative fixed-point updates
 driven by digamma sums over a window of count samples recorded one per
@@ -30,7 +30,6 @@ comparison, which makes the per-link decision globally optimal.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -38,10 +37,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import RelationSet
 from .dataset import Corpus
 from .errors import ConfigInvalid, DomainError, EmptyCorpus
-from .generate import ClassModel, _draw, count_seat, seat_next
+from .generate import ClassModel, count_seat, seat_next
 from .model_io import ModelBundle
 from .network import (
     NULL_ACTION,
@@ -56,7 +54,6 @@ __all__ = [
     "TrainConfig",
     "SamplerState",
     "digamma",
-    "gibbs_conditional",
     "run_gibbs",
     "update_hyperparams",
     "estimate_theta",
@@ -162,10 +159,6 @@ class SamplerState:
     window_sweeps: int = 0  # sweeps summed into the window histograms
 
     @property
-    def ell(self) -> int:
-        return len(self.alpha)
-
-    @property
     def averaged_na(self) -> np.ndarray:
         """(ell, M) table/action counts averaged over the window sweeps."""
         cap = self.window_action.shape[2]
@@ -174,43 +167,6 @@ class SamplerState:
 
 # ---------------------------------------------------------------------------
 # collapsed Gibbs
-
-
-def gibbs_conditional(state: SamplerState, a: int, occupancy: Sequence[float]) -> np.ndarray:
-    """Seating distribution (normalized) for a node with action column ``a``.
-
-    ``occupancy`` holds the per-table counts of the instance's earlier nodes,
-    so the node's 1-based position is ``sum(occupancy) + 1``; the node's own
-    count must already be removed from ``state`` (the "minus one node"
-    state).  Entry ``z`` of the result is table ``z``; when the budget is not
-    yet exhausted by the earlier nodes, the final entry is the next fresh
-    table.  Each table's weight is its likelihood factor
-    ``(count_za + beta_za) / (count_z. + beta_z.)`` times its seating factor
-    — earlier-node occupancy (or alpha, for the fresh table) over
-    ``position + alpha_z - 1``.
-    """
-    na = state.action_counts
-    rows = state.row_totals
-    beta = state.beta
-    brows = state.beta_rows
-    alpha = state.alpha
-    occupied = len(occupancy)
-    position = int(sum(occupancy)) + 1
-    weights = []
-    for z in range(occupied):
-        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
-        weights.append(like * occupancy[z] / (position + alpha[z] - 1.0))
-    if occupied < state.ell:
-        z = occupied
-        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
-        weights.append(like * alpha[z] / (position + alpha[z] - 1.0))
-    probs = np.asarray(weights, dtype=float)
-    return probs / probs.sum()
-
-
-def _count_node(state: SamplerState, z: int, a: int, step: float) -> None:
-    state.action_counts[z, a] += step
-    state.row_totals[z] += step
 
 
 def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,6 +242,27 @@ def _add_histograms(window: np.ndarray, counts: np.ndarray) -> None:
     window += flat.reshape(window.shape)
 
 
+def _pairwise_sum(values: List[float]) -> float:
+    """``np.asarray(values).sum()`` bit for bit: numpy adds up to 128 terms
+    in eight interleaved accumulators (left to right below 8) and splits
+    longer runs in halves at a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, whole = 0.0, 0
+    if n >= 8:
+        r = values[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[whole:]:
+        total += v
+    return total
+
+
 def run_gibbs(
     instances: Sequence[Instance],
     vocab_size: int,
@@ -297,18 +274,19 @@ def run_gibbs(
 
     Assignments are initialized by a sequential draw from the seating prior;
     each of the first ``burn_in + avg_window`` sweeps then reseats every node
-    of every instance in order, at the initial hyperparameters.  Both walk an
-    instance with a running occupancy of its earlier nodes: a sweep removes
-    the node's count, draws its table from :func:`gibbs_conditional`, adds
-    the count back and counts the table in the occupancy.  Each of the
-    ``avg_window`` sweeps after burn-in adds its per-instance count
-    histograms to the window sums that ``averaged_na`` and the refit read.  The sweeps stop when the
-    window closes, since nothing reads a later seating: the remaining
-    ``iterations - burn_in - avg_window`` steps are fixed-point refits over
-    the window sums alone, so the returned hyperparameters approach the
-    stationary point of the window.  ``rng`` is advanced only by the prior
-    draw and the sweeps.  The returned state holds the seating of the last
-    window sweep.  Fixed seed, config and corpus give bit-identical results.
+    of every instance in order, at the initial hyperparameters, on list
+    copies of the counts, alpha and beta.  Per node a sweep removes the
+    node's count, weighs the tables, draws one by a cumulative scan of the
+    weights over their :func:`_pairwise_sum` (numpy's normalization, bit for
+    bit), adds the count back and counts the table in the running occupancy.
+    Each of the ``avg_window`` sweeps after burn-in adds its per-instance
+    count histograms to the window sums that ``averaged_na`` and the refit
+    read.  The sweeps stop when the window closes, since nothing reads a
+    later seating: the remaining ``iterations - burn_in - avg_window`` steps
+    are fixed-point refits over the window sums alone.  ``rng`` is advanced
+    only by the prior draw and the sweeps, one uniform per node each.  The
+    returned state holds the seating of the last window sweep.  Fixed seed,
+    config and corpus give bit-identical results.
     """
     if not instances:
         raise EmptyCorpus("cannot run the sampler on an empty corpus")
@@ -323,7 +301,6 @@ def run_gibbs(
     if ell is None:
         ell = longest
 
-    num_instances = len(actions)
     cap = longest + 1
     state = SamplerState(
         actions=actions,
@@ -338,48 +315,69 @@ def run_gibbs(
         window_action=np.zeros((ell, vocab_size, cap)),
         length_hist=np.bincount([len(a) - 1 for a in actions], minlength=cap).astype(float),
     )
-    # static per-node (instance, action) indices for the per-sweep count histograms
-    node_instance = np.asarray(
-        [d for d, inst_actions in enumerate(actions) for _ in inst_actions], dtype=np.int64
-    )
-    node_action = np.asarray(
-        [a for inst_actions in actions for a in inst_actions], dtype=np.int64
-    )
     cells = ell * vocab_size
+    # static per-node (instance, action) offsets of the per-sweep count cells
+    node_cells = np.asarray(
+        [d * cells + a for d, inst_actions in enumerate(actions) for a in inst_actions], dtype=np.int64
+    )
+    # the sweeps work on list copies; alpha and beta stay fixed until the refits
+    na, rows = state.action_counts.tolist(), state.row_totals.tolist()
+    alpha, beta, brows = state.alpha.tolist(), state.beta.tolist(), state.beta_rows.tolist()
 
     # sequential prior draw
     for inst_actions, seats in zip(actions, state.assignments):
         occupancy: List[float] = []
         for a in inst_actions:
-            seats.append(seat_next(occupancy, state.alpha, rng))
-            _count_node(state, seats[-1], a, 1.0)
+            z = seat_next(occupancy, state.alpha, rng)
+            seats.append(z)
+            na[z][a] += 1.0
+            rows[z] += 1.0
 
     sweeps = config.burn_in + config.avg_window
     for sweep in range(1, sweeps + 1):
+        uniforms = iter(rng.random(len(node_cells)).tolist())
         for inst_actions, seats in zip(actions, state.assignments):
             occupancy = []
             for n, a in enumerate(inst_actions):
-                _count_node(state, seats[n], a, -1.0)
-                z = _draw(gibbs_conditional(state, a, occupancy), rng)
+                z = seats[n]
+                na[z][a] -= 1.0
+                rows[z] -= 1.0
+                position = n + 1
+                weights = [
+                    (na[t][a] + beta[t][a]) / (rows[t] + brows[t]) * count / (position + alpha[t] - 1.0)
+                    for t, count in enumerate(occupancy)
+                ]
+                t = len(occupancy)
+                if t < ell:
+                    like = (na[t][a] + beta[t][a]) / (rows[t] + brows[t])
+                    weights.append(like * alpha[t] / (position + alpha[t] - 1.0))
+                total = _pairwise_sum(weights)
+                r = next(uniforms)
+                acc = 0.0
+                z = len(weights) - 1
+                for t in range(z):
+                    acc += weights[t] / total
+                    if r < acc:
+                        z = t
+                        break
                 seats[n] = z
-                _count_node(state, z, a, 1.0)
+                na[z][a] += 1.0
+                rows[z] += 1.0
                 count_seat(occupancy, z)
         if sweep <= config.burn_in:
             continue
-        node_table = np.asarray(
-            [t for assigned in state.assignments for t in assigned], dtype=np.int64
-        )
+        node_table = np.asarray([t for seats in state.assignments for t in seats], dtype=np.int64)
         per_instance = np.bincount(
-            node_instance * cells + node_table * vocab_size + node_action,
-            minlength=num_instances * cells,
-        ).reshape(num_instances, ell, vocab_size)
+            node_cells + node_table * vocab_size, minlength=len(actions) * cells
+        ).reshape(len(actions), ell, vocab_size)
         _add_histograms(state.window_action, per_instance)
         occ = per_instance.sum(axis=2)
         _add_histograms(state.window_table, occ)
-        first_seats = np.asarray([assigned[0] for assigned in state.assignments], dtype=np.int64)
-        occ[np.arange(num_instances), first_seats] -= 1
+        occ[:, 0] -= 1  # every instance seats its first node at table 0, the only one open to it
         _add_histograms(state.window_alpha, occ)
         state.window_sweeps += 1
+    state.action_counts = np.asarray(na)
+    state.row_totals = np.asarray(rows)
     for _ in range(config.iterations - sweeps):
         update_hyperparams(state, config)
     return state
@@ -594,6 +592,7 @@ def train_bundle(
         for idx, name in enumerate(corpus.classes)
     ]
     if jobs > 1:
+        import concurrent.futures  # only a process pool needs it; ``import ibgn`` stays lighter
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             models = dict(pool.map(_fit_class, payloads))
     else:

@@ -41,7 +41,7 @@ __all__ = [
 NULL_ACTION = 0  # the action BIC structure learning reads past an instance's end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """One atomic action occurrence: vocabulary id (0 = null) plus extent."""
 
@@ -62,7 +62,7 @@ def _canonical_key(iv: Interval) -> Tuple[float, float]:
     return (iv.start, iv.end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A labeled activity observation: intervals in canonical order."""
 
@@ -81,7 +81,7 @@ class Instance:
         return replace(self, intervals=ordered)
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalNetwork:
     """Node actions plus relations on whichever pairs carry one.
 

@@ -26,7 +26,6 @@ from ibgn import (
     digamma,
     estimate_phi,
     estimate_theta,
-    gibbs_conditional,
     instance_to_network,
     learn_structure,
     run_gibbs,
@@ -120,6 +119,35 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def gibbs_conditional(state, a, occupancy):
+    """Seating distribution (normalized) for a node with action column ``a``:
+    the readable form of one node update of the ``run_gibbs`` sweep.
+
+    ``occupancy`` holds the per-table counts of the instance's earlier nodes,
+    so the node's 1-based position is ``sum(occupancy) + 1``; the node's own
+    count must already be removed from ``state``.  Entry ``z`` is table ``z``;
+    while the budget allows, the final entry is the next fresh table.  Each
+    table weighs its likelihood factor ``(count_za + beta_za) / (count_z. +
+    beta_z.)`` times its seating factor: earlier-node occupancy (or alpha,
+    for the fresh table) over ``position + alpha_z - 1``.
+    """
+    na, rows, beta, brows, alpha = (
+        state.action_counts, state.row_totals, state.beta, state.beta_rows, state.alpha
+    )
+    occupied = len(occupancy)
+    position = int(sum(occupancy)) + 1
+    weights = []
+    for z in range(occupied):
+        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
+        weights.append(like * occupancy[z] / (position + alpha[z] - 1.0))
+    if occupied < len(state.alpha):
+        z = occupied
+        like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
+        weights.append(like * alpha[z] / (position + alpha[z] - 1.0))
+    probs = np.asarray(weights, dtype=float)
+    return probs / probs.sum()
+
+
 def prefix_conditional(state, d, n):
     """Oracle for ``gibbs_conditional``: the earlier nodes' occupancy rebuilt
     from ``state.assignments[d][:n]`` on every call, with the same weights."""
@@ -141,7 +169,7 @@ def prefix_conditional(state, d, n):
     for z in range(occupied):
         like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
         weights.append(like * counts[z] / (position + alpha[z] - 1.0))
-    if occupied < state.ell:
+    if occupied < len(state.alpha):
         z = occupied
         like = (na[z, a] + beta[z, a]) / (rows[z] + brows[z])
         weights.append(like * alpha[z] / (position + alpha[z] - 1.0))
@@ -429,6 +457,27 @@ class TestUpdateHyperparams:
         assert np.all(state.alpha < 100.0)  # interior, not a clamp artifact
 
 
+class TestPairwiseSum:
+    """The sweep normalizes its weights in numpy's summation order, bit for bit."""
+
+    @staticmethod
+    def _vectors(rng, length, count):
+        for _ in range(count):
+            yield (rng.random(length) * 10.0 ** rng.integers(-6, 7, size=length)).tolist()
+
+    def test_equals_numpy_sum_up_to_forty_terms(self):
+        rng = np.random.default_rng(40)
+        for length in range(1, 41):
+            for values in self._vectors(rng, length, 200):
+                assert learning._pairwise_sum(values) == np.asarray(values).sum(), length
+
+    def test_splits_long_vectors_like_numpy(self):
+        rng = np.random.default_rng(41)
+        for length in (128, 129, 136, 200, 257, 1000):
+            for values in self._vectors(rng, length, 20):
+                assert learning._pairwise_sum(values) == np.asarray(values).sum(), length
+
+
 class TestRunGibbs:
     def _corpus(self, rng, count=12, vocab_size=3):
         return [
@@ -502,28 +551,18 @@ class TestRunGibbs:
                     state.window_action[z, i], np.bincount(per_instance[:, z, i], minlength=cap)
                 )
 
-    def test_refit_tail_runs_no_sweeps(self, monkeypatch):
+    def test_refit_tail_runs_no_sweeps(self):
         rng = np.random.default_rng(105)
         corpus = self._corpus(rng, count=8)
-        nodes = sum(len(inst) for inst in corpus)
         closed = tiny_config()  # the window closes on the last iteration
         tail = 25
-        calls = []
-        original = learning.gibbs_conditional
-
-        def counting(state, a, occupancy):
-            calls.append(a)
-            return original(state, a, occupancy)
-
-        monkeypatch.setattr(learning, "gibbs_conditional", counting)
-        state = run_gibbs(
-            corpus, 3, tiny_config(iterations=closed.iterations + tail), np.random.default_rng(7)
-        )
-        # only the burn-in and window sweeps reseat nodes
-        assert len(calls) == (closed.burn_in + closed.avg_window) * nodes
-        monkeypatch.undo()
+        tailed_rng = np.random.default_rng(7)
+        state = run_gibbs(corpus, 3, tiny_config(iterations=closed.iterations + tail), tailed_rng)
+        closed_rng = np.random.default_rng(7)
+        reference = run_gibbs(corpus, 3, closed, closed_rng)
+        # only the burn-in and window sweeps reseat nodes: the tail draws nothing
+        assert tailed_rng.bit_generator.state == closed_rng.bit_generator.state
         # the tail is exactly `tail` refit steps over the closed window
-        reference = run_gibbs(corpus, 3, closed, np.random.default_rng(7))
         for _ in range(tail):
             update_hyperparams(reference, closed)
         np.testing.assert_array_equal(state.averaged_na, reference.averaged_na)
@@ -532,12 +571,18 @@ class TestRunGibbs:
         assert state.assignments == reference.assignments
 
     def test_matches_prefix_rebuild_oracle(self):
-        for seed, ell in ((0, None), (1, None), (2, 3)):
+        # with lengths 8-13 and a large alpha_init, about a fifth of the node
+        # updates weigh 8 or more tables, which numpy sums with 8 accumulators
+        for seed, ell, lengths, alpha_init in (
+            (0, None, (1, 7), 1.0), (1, None, (1, 7), 1.0), (2, 3, (1, 7), 1.0),
+            (3, None, (8, 14), 20.0), (4, 9, (8, 14), 20.0),
+        ):
             rng = np.random.default_rng(110 + seed)
             corpus = [
-                random_actions_instance(rng, int(rng.integers(1, 7)), 4) for _ in range(10)
+                random_actions_instance(rng, int(rng.integers(*lengths)), 4) for _ in range(10)
             ]
-            config = tiny_config(iterations=55)  # 15 refit steps after the window
+            # 15 refit steps after the window
+            config = tiny_config(iterations=55, alpha_init=alpha_init)
             got = run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             want = prefix_run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             assert got.assignments == want.assignments
