@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import NoModels
 from .generate import ClassModel
-from .network import Instance, instance_to_network, scan_link_constraints
+from .network import Instance, scan_link_constraints
 
 __all__ = ["EPS", "Prediction", "score_instance", "predict"]
 
@@ -42,27 +42,23 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     """Log-score of an instance under one class model (always finite).
 
     ``vocab`` is the instance's own id-to-name vocabulary.  The action term
-    covers every interval; link terms cover the first ``k_star`` intervals
-    only (longer instances are truncated for the relation part).  An empty
-    instance scores 0.
+    covers every interval; link terms cover the links inside the (canonical)
+    instance, which all end before ``k_star``, so longer instances are
+    truncated for the relation part.  An empty instance scores 0.
     """
-    intervals = instance.intervals
-    ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in intervals]
+    ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
 
     theta_mass = model.theta.sum(axis=0)
     score = 0.0
     for mid in ids:
         score += _log(float(theta_mass[mid - 1])) if mid is not None else math.log(EPS)
 
-    prefix = min(len(intervals), model.k_star)
-    if prefix >= 2:
-        network = instance_to_network(Instance(label=instance.label, intervals=intervals[:prefix]))
-        for n_prime, n, constraint, relation in scan_link_constraints(network, model.structure):
-            vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action
-            if vec is None:
-                score += math.log(1.0 / len(constraint))
-            else:
-                score += _log(float(vec[constraint.index_of(relation)]))
+    for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
+        vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action
+        if vec is None:
+            score += math.log(1.0 / len(constraint))
+        else:
+            score += _log(float(vec[constraint.index_of(relation)]))
     return score
 
 

@@ -203,7 +203,8 @@ def perturb_durations(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
     Start and end move independently by uniform noise in
     ``[-rate * length, +rate * length]``.  Inverted results are repaired by
     swapping the endpoints; a zero-width collision is widened by the smallest
-    representable step.  Instances are re-sorted canonically afterwards.
+    representable step.  Instances are re-sorted canonically afterwards.  A
+    rate whose jitter range ``2 * rate * length`` is not finite is rejected.
     """
     if rate < 0.0:
         raise ValueError(f"rate must be non-negative, got {rate}")
@@ -213,6 +214,8 @@ def perturb_durations(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
         intervals = []
         for iv in inst.intervals:
             reach = rate * (iv.end - iv.start)
+            if not math.isfinite(2.0 * reach):  # the width of the uniform draw below
+                raise ValueError(f"rate {rate} gives a non-finite jitter range on [{iv.start}, {iv.end}]")
             start = iv.start + rng.uniform(-reach, reach)
             end = iv.end + rng.uniform(-reach, reach)
             if start > end:

@@ -11,8 +11,8 @@ A class model couples three ingredients:
   keyed by the two actions and by the interval-relation constraint active for
   that pair, so a sampled relation can never contradict what is already fixed.
 
-Sampling visits the pairs in :func:`~ibgn.network.resolution_order`, seating
-node ``n`` at ``(n - 1, n)`` and drawing each link inside the constraint its
+Sampling walks the mask's links in resolution order, seats node ``n`` before
+the first link that ends at it and draws each link inside the constraint its
 :class:`~ibgn.network.ConstraintMatrix` allows.  ``realize_timestamps`` turns
 a network into integer timestamps by constructive search, and
 ``sample_instance`` runs the size -> network -> timestamps loop.
@@ -176,13 +176,6 @@ def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generato
     return table
 
 
-@lru_cache(maxsize=None)
-def _pair_order(k: int) -> Tuple[Tuple[int, int], ...]:
-    """``resolution_order(0, k - 1)`` as one tuple per size, so sampled
-    networks key their relations by shared pair objects."""
-    return tuple(resolution_order(0, k - 1))
-
-
 def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
     """Sample a k-node network: actions plus link relations.
 
@@ -195,26 +188,28 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     if not 1 <= k <= model.k_star:
         raise ValueError(f"cannot sample {k} nodes from a model with k_star {model.k_star}")
     occupancy: List[float] = []
+    actions: List[int] = []
 
-    def next_action() -> int:
-        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1
+    def seat_through(last: int) -> None:
+        while len(actions) <= last:
+            actions.append(_draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1)
 
-    actions = [next_action()]
     x = ConstraintMatrix()
     relations = {}
-    for pair in _pair_order(k):
+    for pair in model.structure.ordered_links:
         n_prime, n = pair
-        if n_prime == n - 1:
-            actions.append(next_action())
-        if pair in model.structure:
-            constraint = compute_constraint(x, n_prime, n)
-            members = constraint.members
-            probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
-            if probs is None:
-                probs = np.full(len(members), 1.0 / len(members))
-            relation = members[_draw(probs, rng)]
-            x[pair] = RelationSet.of(relation)
-            relations[pair] = relation
+        if n >= k:
+            break
+        seat_through(n)
+        constraint = compute_constraint(x, n_prime, n)
+        members = constraint.members
+        probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
+        if probs is None:
+            probs = np.full(len(members), 1.0 / len(members))
+        relation = members[_draw(probs, rng)]
+        x[pair] = RelationSet.of(relation)
+        relations[pair] = relation
+    seat_through(k - 1)
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 

@@ -135,10 +135,15 @@ class TrainConfig:
                 f"iterations ({self.iterations}) must cover burn_in + avg_window "
                 f"({self.burn_in} + {self.avg_window})"
             )
+        if not all(math.isfinite(v) for v in (self.rho, self.alpha_init, self.beta_init, self.clamp_lo)):
+            raise ConfigInvalid("rho, alpha_init, beta_init and clamp_lo must be finite")
         if self.rho <= 0 or self.alpha_init <= 0 or self.beta_init <= 0:
             raise ConfigInvalid("rho, alpha_init and beta_init must be positive")
-        if not 0 < self.clamp_lo <= self.clamp_hi:
+        if not 0 < self.clamp_lo <= self.clamp_hi:  # a NaN clamp_hi fails too; +inf means no upper clamp
             raise ConfigInvalid("clamp bounds must satisfy 0 < lo <= hi")
+        for name in ("alpha_init", "beta_init"):
+            if not self.clamp_lo <= getattr(self, name) <= self.clamp_hi:
+                raise ConfigInvalid(f"{name} must lie within the clamp bounds [clamp_lo, clamp_hi]")
 
 
 @dataclass(eq=False)
@@ -151,7 +156,6 @@ class SamplerState:
     row_totals: np.ndarray  # (ell,) row sums of action_counts
     alpha: np.ndarray  # (ell,)
     beta: np.ndarray  # (ell, M)
-    beta_rows: np.ndarray  # (ell,)
     window_table: Optional[np.ndarray] = None  # (ell, cap) window-summed histograms of per-instance occupancy
     window_alpha: Optional[np.ndarray] = None  # (ell, cap) same but excluding each instance's first seat
     window_action: Optional[np.ndarray] = None  # (ell, M, cap) same for per-instance action counts
@@ -229,7 +233,6 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
 
     state.alpha = new_alpha
     state.beta = new_beta
-    state.beta_rows = new_beta.sum(axis=1)
     return new_alpha, new_beta
 
 
@@ -309,7 +312,6 @@ def run_gibbs(
         row_totals=np.zeros(ell),
         alpha=np.full(ell, float(config.alpha_init)),
         beta=np.full((ell, vocab_size), float(config.beta_init)),
-        beta_rows=np.full(ell, float(config.beta_init) * vocab_size),
         window_table=np.zeros((ell, cap)),
         window_alpha=np.zeros((ell, cap)),
         window_action=np.zeros((ell, vocab_size, cap)),
@@ -322,7 +324,8 @@ def run_gibbs(
     )
     # the sweeps work on list copies; alpha and beta stay fixed until the refits
     na, rows = state.action_counts.tolist(), state.row_totals.tolist()
-    alpha, beta, brows = state.alpha.tolist(), state.beta.tolist(), state.beta_rows.tolist()
+    alpha, beta = state.alpha.tolist(), state.beta.tolist()
+    brows = [float(config.beta_init) * vocab_size] * ell
 
     # sequential prior draw
     for inst_actions, seats in zip(actions, state.assignments):
@@ -405,14 +408,13 @@ def collect_link_counts(
     """
     counts: Dict[Tuple[int, int, int], np.ndarray] = {}
     for inst in instances:
-        net = instance_to_network(inst)
-        for n_prime, n, constraint, relation in scan_link_constraints(net, mask):
+        for n_prime, n, constraint, relation in scan_link_constraints(inst, mask):
             if relation not in constraint:
                 raise RuntimeError(
                     f"observed relation {relation.symbol} escaped its constraint "
                     f"{{{constraint.text()}}} on pair ({n_prime}, {n})"
                 )
-            key = (net.actions[n_prime], net.actions[n], constraint.bits)
+            key = (inst.intervals[n_prime].action, inst.intervals[n].action, constraint.bits)
             vec = counts.get(key)
             if vec is None:
                 vec = np.zeros(len(constraint))

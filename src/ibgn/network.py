@@ -18,6 +18,7 @@ ascending, earlier node descending), which lists a span's inner pairs first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebra import BaseRelation, FULL_SET, RelationSet, compose_sets, relation_of
@@ -141,6 +142,12 @@ class StructureMask:
     def sorted_links(self) -> List[Tuple[int, int]]:
         return sorted(self.links)
 
+    @cached_property
+    def ordered_links(self) -> Tuple[Tuple[int, int], ...]:
+        """The links in :func:`resolution_order`, computed once per mask."""
+        last = max((j for _, j in self.links), default=0)
+        return tuple(pair for pair in resolution_order(0, last) if pair in self.links)
+
 
 def instance_to_network(instance: Instance) -> IntervalNetwork:
     """Derive the complete relation network over the instance's intervals.
@@ -235,19 +242,22 @@ class ConstraintMatrix(dict):
 
 
 def scan_link_constraints(
-    network: IntervalNetwork, mask: StructureMask
+    instance: Instance, mask: StructureMask
 ) -> Iterator[Tuple[int, int, RelationSet, BaseRelation]]:
-    """Replay an observed network's link constraints in resolution order.
+    """Replay an observed instance's link constraints in resolution order.
 
-    For every structure link ``(n', n)`` inside the network this yields
-    ``(n', n, constraint, relation)``: the network's relation and the
-    constraint the links inside the pair's span allow (singletons of their
+    For every structure link ``(n', n)`` inside the instance this yields
+    ``(n', n, constraint, relation)``: the relation of the two intervals and
+    the constraint the links inside the pair's span allow (singletons of their
     observed relations, composed where no link fixes an entry) — the exact
     quantity the relation distributions are conditioned on, during both
-    training and scoring.
+    training and scoring.  Every link inside a span comes earlier in the order.
     """
-    links = [pair for pair in resolution_order(0, network.size - 1) if pair in mask.links]
-    x = ConstraintMatrix((pair, RelationSet.of(network.relations[pair])) for pair in links)
-    for n_prime, n in links:
-        yield n_prime, n, compute_constraint(x, n_prime, n), network.relations[(n_prime, n)]
-
+    intervals = instance.intervals
+    x = ConstraintMatrix()
+    for n_prime, n in mask.ordered_links:
+        if n >= len(intervals):
+            return
+        relation = relation_of(intervals[n_prime].times, intervals[n].times)
+        yield n_prime, n, compute_constraint(x, n_prime, n), relation
+        x[(n_prime, n)] = RelationSet.of(relation)

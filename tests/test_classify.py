@@ -18,8 +18,9 @@ from ibgn import (
     predict,
     score_instance,
 )
+from ibgn import algebra, network
 from ibgn.errors import NoModels
-from conftest import two_class_models, uniform_model
+from conftest import random_instance, two_class_models, uniform_model
 
 
 def make_instance(*triples, label=None):
@@ -110,6 +111,24 @@ class TestScoreInstance:
         inst = make_instance((2, 0, 1))  # id 2 in a reordered test vocabulary
         got = score_instance(model, inst, ["drop", "lift"])
         assert got == pytest.approx(math.log(1.2))  # still scored as "lift"
+
+    @pytest.mark.parametrize(
+        "structure, calls", [("empty", 0), ("chain", 11), ("full", 66)], ids=["empty", "chain", "full"]
+    )
+    def test_relations_are_read_for_links_only(self, monkeypatch, structure, calls):
+        model = uniform_model(k_star=12, structure=structure)
+        if structure == "empty":
+            model = dataclasses.replace(model, structure=StructureMask.of([]))
+        inst = random_instance(np.random.default_rng(12), 12)
+        counted = []
+
+        def relation_of(first, second):
+            counted.append((first, second))
+            return algebra.relation_of(first, second)
+
+        monkeypatch.setattr(network, "relation_of", relation_of)
+        assert math.isfinite(score_instance(model, inst, ["a", "b"]))
+        assert len(counted) == calls
 
 
 class TestPredict:

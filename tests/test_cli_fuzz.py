@@ -127,3 +127,53 @@ def test_mutated_bundle_fails_cleanly(files, data):
         text = mutate_text(data, files["bundle"].read_text())
     files["mutant"].write_text(text, encoding="utf-8")
     run_cli(data.draw(st.sampled_from(bundle_commands(files))))
+
+
+# one numeric flag at a time, at edge values; never a large --jobs, which could start that many processes
+FLOATS = ("nan", "inf", "-inf", "-1.0", "0.0", "1e-320", "1e308")
+SHORT_RUN = ["--iters", "3", "--burnin", "1", "--avg-window", "2"]
+FLAG_CASES = (
+    [(command, flag, value) for command in ("train", "eval")
+     for flag in ("--rho", "--alpha-init", "--beta-init", "--clamp-lo", "--clamp-hi") for value in FLOATS]
+    + [(command, "--rate", value)
+       for command in ("perturb-labels", "perturb-durations", "eval-labels", "eval-durations") for value in FLOATS]
+    + [(command, flag, value) for command in ("train", "eval")
+       for flag in ("--iters", "--burnin", "--avg-window") for value in ("-1", "0")]
+    + [("generate", "--count", value) for value in ("-1", "0")]
+    + [(command, flag, value)
+       for command in ("train", "predict", "eval", "generate", "perturb-durations", "algebra")
+       for flag in ("--jobs", "--seed") for value in ("-1", "0")]
+    + [("generate", "--size", value) for value in ("-1", "0", str(10**6))]
+    + [("eval", "--folds", value) for value in ("-1", "0", str(10**6))]
+)
+
+
+def flag_commands(files):
+    """Valid argv per command on the fuzz corpus and bundle; a flag appended
+    later overrides the same flag here (argparse keeps the last value)."""
+    corpus, bundle, out = str(files["corpus"]), str(files["bundle"]), str(files["out"])
+    evaluate = ["eval", "--input", corpus, "--folds", "2", *SHORT_RUN]
+    return {
+        "train": ["train", "--input", corpus, "--out", out, *SHORT_RUN],
+        "eval": evaluate,
+        "eval-labels": evaluate + ["--perturb", "labels", "--rate", "0.5"],
+        "eval-durations": evaluate + ["--perturb", "durations", "--rate", "0.5"],
+        "perturb-labels": ["perturb", "--input", corpus, "--kind", "labels", "--rate", "0.5", "--out", out],
+        "perturb-durations": ["perturb", "--input", corpus, "--kind", "durations", "--rate", "0.5", "--out", out],
+        "predict": ["predict", "--model", bundle, "--input", corpus, "--out", out],
+        "generate": ["generate", "--model", bundle, "--class", files["document"]["classes"][0],
+                     "--count", "2", "--out", out],
+        "algebra": ["algebra", "check", corpus],
+    }
+
+
+@pytest.mark.parametrize("command, flag, value", FLAG_CASES)
+def test_numeric_flag_fails_cleanly(files, command, flag, value):
+    run_cli(flag_commands(files)[command] + [f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "eval-labels", "eval-durations", "perturb-labels",
+                                     "perturb-durations", "predict", "generate", "algebra"])
+def test_flag_commands_succeed_unmodified(files, command):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(flag_commands(files)[command]) == 0

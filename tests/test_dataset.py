@@ -301,6 +301,11 @@ class TestPerturbDurations:
         with pytest.raises(ValueError):
             perturb_durations(self._corpus(), -0.1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_jitter_range_rejected(self, rate):
+        with pytest.raises(ValueError, match="non-finite jitter range"):
+            perturb_durations(self._corpus(), rate)
+
 
 class TestBuildSyntheticCorpus:
     def test_counts_labels_and_consistency(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ibgn import (
     BaseRelation,
     ClassModel,
+    ConstraintMatrix,
     FULL_SET,
     Instance,
     Interval,
@@ -25,6 +27,7 @@ from ibgn import (
     instance_to_network,
     realize_timestamps,
     relation_of,
+    resolution_order,
     sample_instance,
     sample_network,
     scan_link_constraints,
@@ -32,7 +35,7 @@ from ibgn import (
 )
 from ibgn.errors import EmptyConstraint, Unrealizable
 from ibgn import generate
-from ibgn.generate import draw_size
+from ibgn.generate import _draw, draw_size
 from conftest import random_actions_instance, random_model, two_class_models, uniform_model
 
 
@@ -70,6 +73,33 @@ def reference_realize(network: IntervalNetwork, label=None) -> Instance:
         for n, (s, e) in enumerate(chosen)
     )
     return Instance(label=label, intervals=intervals)
+
+
+def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
+    """Oracle for ``sample_network``: the all-pairs walk in resolution order,
+    seating node ``n`` at ``(n - 1, n)`` and drawing each pair the mask links."""
+    occupancy = []
+
+    def next_action():
+        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1
+
+    actions = [next_action()]
+    x = ConstraintMatrix()
+    relations = {}
+    for pair in resolution_order(0, k - 1):
+        n_prime, n = pair
+        if n_prime == n - 1:
+            actions.append(next_action())
+        if pair in model.structure:
+            constraint = compute_constraint(x, n_prime, n)
+            members = constraint.members
+            probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
+            if probs is None:
+                probs = np.full(len(members), 1.0 / len(members))
+            relation = members[_draw(probs, rng)]
+            x[pair] = RelationSet.of(relation)
+            relations[pair] = relation
+    return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
 def oracle_networks(count_per_kind: int = 80):
@@ -171,8 +201,7 @@ class TestSampleNetwork:
         for _ in range(50):
             k = int(rng.integers(1, 7))
             net = sample_network(model, k=k, rng=rng)
-            padded = instance_to_network(realize_timestamps(net))
-            for _, _, constraint, rel in scan_link_constraints(padded, model.structure):
+            for _, _, constraint, rel in scan_link_constraints(realize_timestamps(net), model.structure):
                 assert rel in constraint
 
     def test_full_structure_networks_are_consistent(self):
@@ -196,6 +225,38 @@ class TestSampleNetwork:
         net = sample_network(model, k=4, rng=rng)
         # actions 1/2 carry ~all theta mass in this class
         assert set(net.actions) <= {1, 2}
+
+    def test_matches_all_pairs_oracle(self):
+        """Networks, failures and the rng state afterwards equal the all-pairs
+        walk's, under chain, full, empty and random masks (links may reach
+        past the sampled size)."""
+        rng = np.random.default_rng(2026)
+        outcomes = Counter()
+        for index in range(200):
+            k_star = int(rng.integers(1, 9))
+            model = random_model(np.random.default_rng([2026, index]), vocab_size=3, k_star=k_star)
+            random_mask = StructureMask.of(
+                (a, b) for a in range(k_star) for b in range(a + 1, k_star) if rng.random() < 0.5
+            )
+            for mask in (
+                StructureMask.chain(k_star), StructureMask.full(k_star), StructureMask.of([]), random_mask
+            ):
+                masked = dataclasses.replace(model, structure=mask)
+                for _ in range(2):
+                    k = int(rng.integers(1, k_star + 1))
+                    seed = int(rng.integers(2**32))
+                    results = []
+                    for sample in (sample_network, reference_sample_network):
+                        draws = np.random.default_rng(seed)
+                        try:
+                            net = sample(masked, k, draws)
+                            result = (net.actions, net.relations)
+                        except EmptyConstraint:
+                            result = "empty constraint"
+                        results.append((result, draws.bit_generator.state))
+                    assert results[0] == results[1]
+                    outcomes[results[0][0] == "empty constraint"] += 1
+        assert outcomes[False] >= 1500 and outcomes[True] > 0
 
     def test_deterministic_under_seed(self):
         rng1 = np.random.default_rng(7)

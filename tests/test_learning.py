@@ -60,7 +60,6 @@ def make_state(action_counts, alpha, beta, actions=((0,),), assignments=((0,),))
         row_totals=action_counts.sum(axis=1),
         alpha=alpha,
         beta=beta,
-        beta_rows=beta.sum(axis=1),
     )
 
 
@@ -99,6 +98,9 @@ class TestTrainConfig:
     def test_defaults_are_valid(self):
         TrainConfig().validate()
 
+    def test_infinite_clamp_hi_means_no_upper_clamp(self):
+        TrainConfig(clamp_hi=math.inf, beta_init=1e308).validate()
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -112,6 +114,19 @@ class TestTrainConfig:
             dict(beta_init=0.0),
             dict(clamp_lo=0.0),
             dict(clamp_lo=2.0, clamp_hi=1.0),
+            dict(rho=math.inf),
+            dict(rho=math.nan),
+            dict(alpha_init=math.nan),
+            dict(alpha_init=math.inf, clamp_hi=math.inf),
+            dict(beta_init=math.nan),
+            dict(beta_init=math.inf, clamp_hi=math.inf),
+            dict(clamp_lo=math.nan),
+            dict(clamp_lo=math.inf, clamp_hi=math.inf),
+            dict(clamp_hi=math.nan),
+            dict(alpha_init=1e-320),
+            dict(beta_init=1e308),
+            dict(alpha_init=2.0, clamp_hi=1.0),
+            dict(beta_init=1e-7),
         ],
     )
     def test_invalid(self, kwargs):
@@ -132,7 +147,7 @@ def gibbs_conditional(state, a, occupancy):
     for the fresh table) over ``position + alpha_z - 1``.
     """
     na, rows, beta, brows, alpha = (
-        state.action_counts, state.row_totals, state.beta, state.beta_rows, state.alpha
+        state.action_counts, state.row_totals, state.beta, state.beta.sum(axis=1), state.alpha
     )
     occupied = len(occupancy)
     position = int(sum(occupancy)) + 1
@@ -162,7 +177,7 @@ def prefix_conditional(state, d, n):
         counts[t] += 1.0
     assert 0.0 not in counts, "earlier-node occupancy must form a contiguous table prefix"
     na, rows, beta, brows, alpha = (
-        state.action_counts, state.row_totals, state.beta, state.beta_rows, state.alpha
+        state.action_counts, state.row_totals, state.beta, state.beta.sum(axis=1), state.alpha
     )
     position = n + 1
     weights = []

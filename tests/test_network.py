@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestStructureMask:
     def test_chain_of_one_is_empty(self):
         assert len(StructureMask.chain(1)) == 0
 
+    def test_ordered_links_follow_resolution_order(self):
+        mask = StructureMask.of([(0, 3), (2, 3), (0, 1), (5, 6)])
+        assert mask.ordered_links == ((0, 1), (2, 3), (0, 3), (5, 6))
+        assert mask.ordered_links is mask.ordered_links  # computed once
+        assert StructureMask.full(5).ordered_links == tuple(resolution_order(0, 4))
+        assert StructureMask.of([]).ordered_links == ()
+
+    def test_cached_links_leave_equality_hashing_and_pickling_alone(self):
+        mask = StructureMask.chain(4)
+        mask.ordered_links
+        assert mask == StructureMask.chain(4) and hash(mask) == hash(StructureMask.chain(4))
+        copy = pickle.loads(pickle.dumps(mask))
+        assert copy == mask and copy.ordered_links == mask.ordered_links
+
 
 def reference_scan(network, mask):
     """Oracle for ``scan_link_constraints``: the eager walk that composes
@@ -214,8 +229,7 @@ class TestScanLinkConstraints:
     def test_chain_links_are_unconstrained(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, 5)
-        net = instance_to_network(inst)
-        rows = list(scan_link_constraints(net, StructureMask.chain(5)))
+        rows = list(scan_link_constraints(inst, StructureMask.chain(5)))
         # resolution order: target node ascending, source node descending
         assert [(i, j) for i, j, _, _ in rows] == [(0, 1), (1, 2), (2, 3), (3, 4)]
         for _, _, constraint, rel in rows:
@@ -226,15 +240,15 @@ class TestScanLinkConstraints:
     @settings(max_examples=60, deadline=None)
     def test_relation_always_inside_constraint(self, seed, k):
         rng = np.random.default_rng(seed)
-        net = instance_to_network(random_instance(rng, k))
+        inst = random_instance(rng, k)
         for mask in (StructureMask.chain(k), StructureMask.full(k)):
-            for n_prime, n, constraint, rel in scan_link_constraints(net, mask):
+            for n_prime, n, constraint, rel in scan_link_constraints(inst, mask):
                 assert rel in constraint, (n_prime, n, constraint.text(), rel)
 
     def test_full_mask_covers_every_pair(self):
         rng = np.random.default_rng(9)
-        net = instance_to_network(random_instance(rng, 4))
-        rows = list(scan_link_constraints(net, StructureMask.full(4)))
+        inst = random_instance(rng, 4)
+        rows = list(scan_link_constraints(inst, StructureMask.full(4)))
         # resolution order: target node ascending, source node descending
         assert [(i, j) for i, j, _, _ in rows] == [
             (0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3),
@@ -247,7 +261,8 @@ class TestScanMatchesEagerWalk:
         scanned = 0
         for _ in range(320):
             k = int(rng.integers(1, 9))
-            net = instance_to_network(random_actions_instance(rng, k, 4))
+            inst = random_actions_instance(rng, k, 4)
+            net = instance_to_network(inst)
             size = k
             if rng.random() < 0.25:  # masks reaching past the network, as when scoring a short instance
                 size += int(rng.integers(1, 3))
@@ -257,7 +272,7 @@ class TestScanMatchesEagerWalk:
             for mask in (
                 StructureMask.chain(size), StructureMask.full(size), StructureMask.of([]), random_mask
             ):
-                rows = list(scan_link_constraints(net, mask))
+                rows = list(scan_link_constraints(inst, mask))
                 assert rows == list(reference_scan(net, mask))
                 scanned += len(rows)
         assert scanned > 1000
@@ -271,8 +286,8 @@ class TestScanMatchesEagerWalk:
             return compose_sets(set1, set2)
 
         monkeypatch.setattr(network_module, "compose_sets", counted)
-        net = instance_to_network(random_instance(np.random.default_rng(12), 12))
-        rows = list(scan_link_constraints(net, mask))
+        inst = random_instance(np.random.default_rng(12), 12)
+        rows = list(scan_link_constraints(inst, mask))
         assert len(rows) == len(mask) and calls == []
 
 
