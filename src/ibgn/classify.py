@@ -48,10 +48,9 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     """
     ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
 
-    theta_mass = model.theta.sum(axis=0)
     score = 0.0
     for mid in ids:
-        score += _log(float(theta_mass[mid - 1])) if mid is not None else math.log(EPS)
+        score += _log(model.theta_mass[mid - 1]) if mid is not None else math.log(EPS)
 
     for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
         vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action

@@ -71,6 +71,7 @@ class ClassModel:
         self.action_vocab = tuple(self.action_vocab)
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
+        self.theta_mass = self.theta.sum(axis=0).tolist()  # per action: its total mass over the tables
 
     @property
     def M(self) -> int:

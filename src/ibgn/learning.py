@@ -11,17 +11,16 @@ within an instance.  The sweep keeps that occupancy as a running count
 (:func:`~ibgn.generate.count_seat`, as the prior draw and the generator do)
 and normalizes and draws inline, in numpy's summation order.
 
-The concentration parameters are refit by multiplicative fixed-point updates
-driven by digamma sums over a window of count samples recorded one per
-training instance per sweep — per-table occupancy vectors (minus each
-instance's deterministic first seat) for the seating strengths, per-table
-action counts for the dish priors.  The updates read only how often each
-count value occurs in the window (Minka's count-histogram form), so the
+The concentration parameters are refit by multiplicative Pólya
+(Dirichlet-multinomial) fixed-point steps over a window of count samples
+recorded one per training instance per sweep — per-table occupancy vectors
+(minus each instance's deterministic first seat) for the seating strengths,
+per-table action counts for the dish priors.  The steps read only how often
+each count value occurs in the window (Minka's count-histogram form), so the
 window is kept as running histogram sums whose size does not depend on its
-length.  The sweeps stop once the window is complete: the refits read
-only the fixed sums, so the remaining iterations are refit steps alone, and
-the returned hyperparameters approach the maximum-likelihood stationary
-point of the recorded samples.
+length, and each ``psi(c + x) - psi(x)`` is summed as ``sum_{j < c} 1 / (x + j)``.
+The sweeps stop once the window is complete: the remaining iterations are
+refit steps alone, which do not run to convergence.
 Relation distributions are estimated afterwards by a deterministic scan that
 replays, for every structure link, the constraint under which its relation
 was chosen.  Structure itself is picked per link by a decomposable BIC
@@ -139,6 +138,8 @@ class TrainConfig:
             raise ConfigInvalid("rho, alpha_init, beta_init and clamp_lo must be finite")
         if self.rho <= 0 or self.alpha_init <= 0 or self.beta_init <= 0:
             raise ConfigInvalid("rho, alpha_init and beta_init must be positive")
+        if not math.isfinite(7 * self.rho):  # phi smoothing adds rho once per member of a 7-relation constraint
+            raise ConfigInvalid("rho times 7, the largest constraint size, must be finite")
         if not 0 < self.clamp_lo <= self.clamp_hi:  # a NaN clamp_hi fails too; +inf means no upper clamp
             raise ConfigInvalid("clamp bounds must satisfy 0 < lo <= hi")
         for name in ("alpha_init", "beta_init"):
@@ -173,67 +174,46 @@ class SamplerState:
 # collapsed Gibbs
 
 
-def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """One multiplicative fixed-point step for alpha and beta.
+def _psi_increments(y, count: int) -> np.ndarray:
+    """Entry ``c - 1`` is ``psi(c + y) - psi(y) = sum_{j < c} 1 / (y + j)``, for ``c = 1..count``."""
+    return np.cumsum(1.0 / (np.asarray(y)[..., None] + np.arange(count)), axis=-1)
 
-    Each recorded sample contributes ``psi(count + param) - psi(param)`` to
-    its side of the ratio.  The samples are per-instance count vectors, one
-    per instance per recorded sweep, read from the window-summed count
-    histograms (how many samples took each count value): for alpha, each
-    instance's table occupancy vector excluding its first seat (which is
-    deterministic under the canonical table labeling and carries no
-    information about the strengths) against a denominator term of
-    ``psi(instance_length - 1 + sum(alpha)) - psi(sum(alpha))`` per sample;
-    for each beta row, each instance's action counts at that table against
-    the instance's node count at that table.  A parameter whose denominator
-    sum is zero (no counts ever recorded) is left unchanged; results are
-    clamped to the configured bounds.  The new values are written into the
-    state and returned.
+
+def _polya_step(x: np.ndarray, hist: np.ndarray, totals: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """One multiplicative fixed-point step for Dirichlet-multinomial parameters ``x`` ``(..., K)``.
+
+    ``hist[..., k, c]`` counts the samples whose entry ``k`` is ``c`` and
+    ``totals[..., c]`` those whose total is ``c``.  Each sample adds
+    ``psi(c + x_k) - psi(x_k)`` to the numerator of ``x_k`` and
+    ``psi(total + sum(x)) - psi(sum(x))`` to the vector's denominator
+    (Minka 2000).  A vector whose denominator is zero is left unchanged;
+    the others are clamped to ``[lo, hi]``.
     """
-    size = state.window_sweeps
-    hist_sum, alpha_sum_hist, action_sum = state.window_table, state.window_alpha, state.window_action
-    if size == 0 or any(h is None for h in (hist_sum, alpha_sum_hist, action_sum, state.length_hist)):
+    count = hist.shape[-1] - 1
+    num = (hist[..., 1:] * _psi_increments(x, count)).sum(axis=-1)
+    den = (totals[..., 1:] * _psi_increments(x.sum(axis=-1), count)).sum(axis=-1)[..., None]
+    safe = np.where(den > 0.0, den, 1.0)
+    return np.where(den > 0.0, np.clip(x * num / safe, lo, hi), x)
+
+
+def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """One :func:`_polya_step` for alpha and one for every beta row.
+
+    The samples are per-instance count vectors, one per instance per recorded
+    sweep, read from the window-summed count histograms.  For alpha a sample
+    is the instance's table occupancy excluding its first seat (deterministic
+    under the canonical table labeling, so it carries no information about
+    the strengths), with total instance length minus one; for each beta row
+    it is the instance's action counts at that table, with total its node
+    count there.  The new values are written into the state and returned.
+    """
+    windows = (state.window_table, state.window_alpha, state.window_action, state.length_hist)
+    if state.window_sweeps == 0 or any(h is None for h in windows):
         raise ValueError("no count samples recorded yet")
-    alpha = state.alpha
-    beta = state.beta
     lo, hi = config.clamp_lo, config.clamp_hi
-
-    cap = hist_sum.shape[1]
-    support = np.arange(1, cap, dtype=float)
-    if float(alpha_sum_hist.sum()) == 0.0:
-        new_alpha = alpha.copy()
-    else:
-        alpha_sum = float(alpha.sum())
-        num = (
-            alpha_sum_hist[:, 1:]
-            * (digamma(support[None, :] + alpha[:, None]) - digamma(alpha)[:, None])
-        ).sum(axis=1)
-        bins = np.nonzero(state.length_hist)[0]
-        den = size * float(
-            (
-                state.length_hist[bins]
-                * (digamma(bins.astype(float) + alpha_sum) - digamma(alpha_sum))
-            ).sum()
-        )
-        new_alpha = np.clip(alpha * num / den, lo, hi) if den > 0.0 else alpha.copy()
-
-    beta_rows = beta.sum(axis=1)
-    cap_a = action_sum.shape[2]
-    support_a = np.arange(1, cap_a, dtype=float)
-    bnum = (
-        action_sum[:, :, 1:]
-        * (digamma(support_a[None, None, :] + beta[:, :, None]) - digamma(beta)[:, :, None])
-    ).sum(axis=2)
-    bden = (
-        hist_sum[:, 1:]
-        * (digamma(support[None, :] + beta_rows[:, None]) - digamma(beta_rows)[:, None])
-    ).sum(axis=1)
-    safe = np.where(bden > 0.0, bden, 1.0)
-    new_beta = np.where(bden[:, None] > 0.0, np.clip(beta * bnum / safe[:, None], lo, hi), beta)
-
-    state.alpha = new_alpha
-    state.beta = new_beta
-    return new_alpha, new_beta
+    state.alpha = _polya_step(state.alpha, state.window_alpha, state.window_sweeps * state.length_hist, lo, hi)
+    state.beta = _polya_step(state.beta, state.window_action, state.window_table, lo, hi)
+    return state.alpha, state.beta
 
 
 def _add_histograms(window: np.ndarray, counts: np.ndarray) -> None:

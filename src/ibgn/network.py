@@ -59,10 +59,6 @@ class Interval:
         return (self.start, self.end)
 
 
-def _canonical_key(iv: Interval) -> Tuple[float, float]:
-    return (iv.start, iv.end)
-
-
 @dataclass(frozen=True, slots=True)
 class Instance:
     """A labeled activity observation: intervals in canonical order."""
@@ -74,11 +70,11 @@ class Instance:
         return len(self.intervals)
 
     def is_canonical(self) -> bool:
-        keys = [_canonical_key(iv) for iv in self.intervals]
+        keys = [iv.times for iv in self.intervals]
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
     def canonicalized(self) -> "Instance":
-        ordered = tuple(sorted(self.intervals, key=_canonical_key))
+        ordered = tuple(sorted(self.intervals, key=lambda iv: iv.times))
         return replace(self, intervals=ordered)
 
 

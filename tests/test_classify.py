@@ -19,8 +19,9 @@ from ibgn import (
     score_instance,
 )
 from ibgn import algebra, network
+from ibgn.classify import _log
 from ibgn.errors import NoModels
-from conftest import random_instance, two_class_models, uniform_model
+from conftest import random_actions_instance, random_instance, random_model, two_class_models, uniform_model
 
 
 def make_instance(*triples, label=None):
@@ -42,6 +43,22 @@ def chain_model():
         theta=theta,
         phi=phi,
     )
+
+
+def reference_score_instance(model, instance, vocab):
+    """``score_instance`` summing ``theta`` over the tables on every call."""
+    ids = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
+    theta_mass = model.theta.sum(axis=0)
+    score = 0.0
+    for mid in ids:
+        score += _log(float(theta_mass[mid - 1])) if mid is not None else math.log(EPS)
+    for n_prime, n, constraint, relation in network.scan_link_constraints(instance, model.structure):
+        vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))
+        if vec is None:
+            score += math.log(1.0 / len(constraint))
+        else:
+            score += _log(float(vec[constraint.index_of(relation)]))
+    return score
 
 
 class TestScoreInstance:
@@ -129,6 +146,19 @@ class TestScoreInstance:
         monkeypatch.setattr(network, "relation_of", relation_of)
         assert math.isfinite(score_instance(model, inst, ["a", "b"]))
         assert len(counted) == calls
+
+
+    def test_theta_mass_summed_once_matches_per_call_sum(self):
+        rng = np.random.default_rng(31)
+        vocab = ["act0", "act1", "act2", "unknown"]
+        for trial in range(20):
+            model = random_model(rng, vocab_size=3, k_star=5)
+            if trial % 2:
+                model = dataclasses.replace(model, structure=StructureMask.chain(5))
+            assert model.theta_mass == model.theta.sum(axis=0).tolist()
+            for _ in range(10):
+                inst = random_actions_instance(rng, int(rng.integers(0, 8)), len(vocab))
+                assert score_instance(model, inst, vocab) == reference_score_instance(model, inst, vocab)
 
 
 class TestPredict:

@@ -119,6 +119,15 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_rho_names_the_flag(self, corpus_path, tmp_path, capsys):
+        code = main(
+            ["train", "--input", str(corpus_path), "--out", str(tmp_path / "o.json"),
+             *TRAIN_FLAGS, "--rho", "1e308"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rho" in err
+
 
 class TestPredict:
     def test_labeled_input_gets_truth_column_and_accuracy(

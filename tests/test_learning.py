@@ -127,6 +127,7 @@ class TestTrainConfig:
             dict(beta_init=1e308),
             dict(alpha_init=2.0, clamp_hi=1.0),
             dict(beta_init=1e-7),
+            dict(rho=1e308),
         ],
     )
     def test_invalid(self, kwargs):
@@ -390,6 +391,104 @@ def overdispersed_samples(size, ell=3, m=2):
         for (d, z), counts in actions.items():
             action_counts[s, d, z] = counts
     return occupancy, first_seats, action_counts
+
+
+def reference_update_hyperparams(state, config):
+    """The refit as digamma differences: each side of the ratio sums
+    ``digamma(count + param) - digamma(param)`` over the count histograms."""
+    size = state.window_sweeps
+    hist_sum, alpha_sum_hist, action_sum = state.window_table, state.window_alpha, state.window_action
+    alpha, beta = state.alpha, state.beta
+    lo, hi = config.clamp_lo, config.clamp_hi
+    cap = hist_sum.shape[1]
+    support = np.arange(1, cap, dtype=float)
+    if float(alpha_sum_hist.sum()) == 0.0:
+        new_alpha = alpha.copy()
+    else:
+        alpha_sum = float(alpha.sum())
+        num = (
+            alpha_sum_hist[:, 1:]
+            * (digamma(support[None, :] + alpha[:, None]) - digamma(alpha)[:, None])
+        ).sum(axis=1)
+        bins = np.nonzero(state.length_hist)[0]
+        den = size * float(
+            (state.length_hist[bins] * (digamma(bins.astype(float) + alpha_sum) - digamma(alpha_sum))).sum()
+        )
+        new_alpha = np.clip(alpha * num / den, lo, hi) if den > 0.0 else alpha.copy()
+    beta_rows = beta.sum(axis=1)
+    support_a = np.arange(1, action_sum.shape[2], dtype=float)
+    bnum = (
+        action_sum[:, :, 1:]
+        * (digamma(support_a[None, None, :] + beta[:, :, None]) - digamma(beta)[:, :, None])
+    ).sum(axis=2)
+    bden = (
+        hist_sum[:, 1:]
+        * (digamma(support[None, :] + beta_rows[:, None]) - digamma(beta_rows)[:, None])
+    ).sum(axis=1)
+    safe = np.where(bden > 0.0, bden, 1.0)
+    new_beta = np.where(bden[:, None] > 0.0, np.clip(beta * bnum / safe[:, None], lo, hi), beta)
+    state.alpha = new_alpha
+    state.beta = new_beta
+    return new_alpha, new_beta
+
+
+@st.composite
+def recorded_windows(draw):
+    """A sampler state whose window holds random seatings: instances of 1-6
+    nodes over up to 4 tables and 3 actions, each node at any table but the
+    first at table 0, recorded over 1-4 sweeps; alpha and beta start
+    log-uniform in [1e-3, 1e3]."""
+    ell, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    sweeps = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupancy = np.zeros((sweeps, len(lengths), ell), dtype=np.int64)
+    action_counts = np.zeros((sweeps, len(lengths), ell, m), dtype=np.int64)
+    for s in range(sweeps):
+        for d, length in enumerate(lengths):
+            seats = np.concatenate([[0], rng.integers(0, ell, size=length - 1)])
+            for z, a in zip(seats, rng.integers(0, m, size=length)):
+                occupancy[s, d, z] += 1
+                action_counts[s, d, z, a] += 1
+    return state_with_samples(
+        occupancy, np.zeros((sweeps, len(lengths)), dtype=np.int64), action_counts,
+        alpha=10.0 ** rng.uniform(-3, 3, size=ell), beta=10.0 ** rng.uniform(-3, 3, size=(ell, m)),
+    )
+
+
+class TestPolyaStep:
+    @pytest.mark.parametrize("x", [1e-6, 1.0, 1e6])
+    def test_increments_match_mpmath_digamma(self, x):
+        got = learning._psi_increments(x, 12)
+        with mpmath.workdps(40):
+            for c in range(1, 13):
+                want = mpmath.digamma(c + mpmath.mpf(x)) - mpmath.digamma(mpmath.mpf(x))
+                assert abs(got[c - 1] - want) <= 1e-15 * abs(want), (x, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(recorded_windows())
+    def test_matches_digamma_reference(self, state):
+        config = TrainConfig(clamp_lo=1e-3, clamp_hi=1e3)
+        copy = SamplerState(**{**vars(state), "alpha": state.alpha.copy(), "beta": state.beta.copy()})
+        for steps in (1, 99):
+            for _ in range(steps):
+                update_hyperparams(state, config)
+                reference_update_hyperparams(copy, config)
+            np.testing.assert_allclose(state.alpha, copy.alpha, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(state.beta, copy.beta, rtol=1e-9, atol=0)
+
+    def test_refits_make_no_digamma_call(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("the refit called digamma")
+
+        monkeypatch.setattr(learning, "digamma", refuse)
+        rng = np.random.default_rng(120)
+        corpus = [random_actions_instance(rng, int(rng.integers(1, 6)), 3) for _ in range(8)]
+        config = tiny_config(iterations=60)  # 20 refit steps after the window
+        state = run_gibbs(corpus, 3, config, np.random.default_rng(0))
+        assert not np.array_equal(state.alpha, np.full_like(state.alpha, config.alpha_init))
+        model = train_class_model(corpus, ["x", "y", "z"], config, np.random.default_rng(0))
+        np.testing.assert_array_equal(model.alpha, state.alpha)
 
 
 class TestUpdateHyperparams:

@@ -58,3 +58,19 @@ def test_traced_training_and_generation_count_their_work():
     assert counts["generate.realize_min_checks"] == 5 * 4 // 2
     traced = {name for _, name, *_ in tracer.spans}
     assert {"learning.run_gibbs", "generate.realize_timestamps"} <= traced
+
+
+def test_tracer_counts_one_refit_step_per_update_call():
+    rng = np.random.default_rng(7)
+    corpus = [random_actions_instance(rng, int(rng.integers(2, 5)), 3, label="c") for _ in range(6)]
+    config = tiny_config(iterations=50)
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        learning.train_class_model(corpus, ["x", "y", "z"], config, np.random.default_rng(8))
+    finally:
+        tracer.uninstall()
+    refits = config.iterations - config.burn_in - config.avg_window
+    assert refits == 10
+    assert tracer.counts["probe"]["learning.update_hyperparams_calls"] == refits
