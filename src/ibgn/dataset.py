@@ -118,22 +118,29 @@ def load_instances(path) -> Corpus:
     return Corpus(instances=instances, vocab=vocab, classes=list(classes))
 
 
+# json.dumps(..., allow_nan=False) would build an encoder per record
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def save_instances(corpus: Corpus, path) -> None:
-    """Write a corpus back to JSONL (canonical interval order, stable bytes)."""
+    """Write a corpus back to JSONL (canonical interval order, stable bytes);
+    a non-finite timestamp raises ``ValueError`` before the file is opened."""
+    lines = []
+    for inst in corpus.instances:
+        record: Dict[str, object] = {}
+        if inst.label is not None:
+            record["label"] = inst.label
+        record["intervals"] = [
+            {
+                "action": corpus.vocab[iv.action - 1],
+                "start": iv.start,
+                "end": iv.end,
+            }
+            for iv in inst.intervals
+        ]
+        lines.append(_ENCODER.encode(record) + "\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for inst in corpus.instances:
-            record: Dict[str, object] = {}
-            if inst.label is not None:
-                record["label"] = inst.label
-            record["intervals"] = [
-                {
-                    "action": corpus.vocab[iv.action - 1],
-                    "start": iv.start,
-                    "end": iv.end,
-                }
-                for iv in inst.intervals
-            ]
-            handle.write(json.dumps(record) + "\n")
+        handle.writelines(lines)
 
 
 def kfold_split(corpus: Corpus, folds: int = 5, seed: int = 0) -> List[Tuple[Corpus, Corpus]]:
@@ -204,7 +211,8 @@ def perturb_durations(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
     ``[-rate * length, +rate * length]``.  Inverted results are repaired by
     swapping the endpoints; a zero-width collision is widened by the smallest
     representable step.  Instances are re-sorted canonically afterwards.  A
-    rate whose jitter range ``2 * rate * length`` is not finite is rejected.
+    rate whose jitter range ``2 * rate * length`` is not finite, or that moves
+    an endpoint past the largest float, is rejected.
     """
     if rate < 0.0:
         raise ValueError(f"rate must be non-negative, got {rate}")
@@ -222,6 +230,8 @@ def perturb_durations(corpus: Corpus, rate: float, seed: int = 0) -> Corpus:
                 start, end = end, start
             if start == end:
                 end = float(np.nextafter(end, np.inf))
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError(f"rate {rate} jitters [{iv.start}, {iv.end}] to a non-finite endpoint")
             intervals.append(Interval(action=iv.action, start=start, end=end))
         instances.append(Instance(label=inst.label, intervals=tuple(intervals)).canonicalized())
     return Corpus(instances=instances, vocab=list(corpus.vocab), classes=list(corpus.classes))

@@ -142,24 +142,22 @@ def crp_table_distribution(occupancy: Sequence[float], alpha: np.ndarray) -> np.
     return probs / probs.sum()
 
 
-def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """Index drawn from a normalized probability vector (cumulative scan)."""
-    r = rng.random()
+def _draw(weights: Sequence[float], threshold: float) -> int:
+    """First index whose cumulative weight exceeds ``threshold``, else the last;
+    a draw by one uniform ``r`` passes ``r`` times the weights' total (``r`` if normalized)."""
     acc = 0.0
-    last = len(probs) - 1
+    last = len(weights) - 1
     for idx in range(last):
-        acc += probs[idx]
-        if r < acc:
+        acc += weights[idx]
+        if threshold < acc:
             return idx
     return last
 
 
 def draw_size(model: ClassModel, rng: np.random.Generator) -> int:
     """Instance size drawn from the model's size histogram (one uniform draw)."""
-    sizes = sorted(model.size_histogram.items())
-    total = sum(count for _size, count in sizes)
-    probs = [count / total for _size, count in sizes]
-    return sizes[_draw(probs, rng)][0]
+    sizes, counts = zip(*sorted(model.size_histogram.items()))
+    return sizes[_draw(counts, rng.random() * sum(counts))]
 
 
 def count_seat(occupancy: List[float], table: int) -> None:
@@ -172,7 +170,7 @@ def count_seat(occupancy: List[float], table: int) -> None:
 
 def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generator) -> int:
     """Draw the next node's table from the seating prior and count it in ``occupancy``."""
-    table = _draw(crp_table_distribution(occupancy, alpha), rng)
+    table = _draw(crp_table_distribution(occupancy, alpha), rng.random())
     count_seat(occupancy, table)
     return table
 
@@ -193,7 +191,7 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
 
     def seat_through(last: int) -> None:
         while len(actions) <= last:
-            actions.append(_draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1)
+            actions.append(_draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng.random()) + 1)
 
     x = ConstraintMatrix()
     relations = {}
@@ -207,7 +205,7 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
         if probs is None:
             probs = np.full(len(members), 1.0 / len(members))
-        relation = members[_draw(probs, rng)]
+        relation = members[_draw(probs, rng.random())]
         x[pair] = RelationSet.of(relation)
         relations[pair] = relation
     seat_through(k - 1)

@@ -9,7 +9,7 @@ that conditions on the occupancy of that instance's *earlier* nodes only —
 so occupied tables always form a contiguous prefix of the table budget
 within an instance.  The sweep keeps that occupancy as a running count
 (:func:`~ibgn.generate.count_seat`, as the prior draw and the generator do)
-and normalizes and draws inline, in numpy's summation order.
+and draws each table by the generator's cumulative scan.
 
 The concentration parameters are refit by multiplicative Pólya
 (Dirichlet-multinomial) fixed-point steps over a window of count samples
@@ -38,7 +38,7 @@ import numpy as np
 
 from .dataset import Corpus
 from .errors import ConfigInvalid, DomainError, EmptyCorpus
-from .generate import ClassModel, count_seat, seat_next
+from .generate import ClassModel, _draw, count_seat, seat_next
 from .model_io import ModelBundle
 from .network import (
     NULL_ACTION,
@@ -225,27 +225,6 @@ def _add_histograms(window: np.ndarray, counts: np.ndarray) -> None:
     window += flat.reshape(window.shape)
 
 
-def _pairwise_sum(values: List[float]) -> float:
-    """``np.asarray(values).sum()`` bit for bit: numpy adds up to 128 terms
-    in eight interleaved accumulators (left to right below 8) and splits
-    longer runs in halves at a multiple of 8."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total, whole = 0.0, 0
-    if n >= 8:
-        r = values[:8]
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[whole:]:
-        total += v
-    return total
-
-
 def run_gibbs(
     instances: Sequence[Instance],
     vocab_size: int,
@@ -259,9 +238,9 @@ def run_gibbs(
     each of the first ``burn_in + avg_window`` sweeps then reseats every node
     of every instance in order, at the initial hyperparameters, on list
     copies of the counts, alpha and beta.  Per node a sweep removes the
-    node's count, weighs the tables, draws one by a cumulative scan of the
-    weights over their :func:`_pairwise_sum` (numpy's normalization, bit for
-    bit), adds the count back and counts the table in the running occupancy.
+    node's count, weighs the tables, draws one by
+    :func:`~ibgn.generate._draw` at one uniform times the weights' sum, adds
+    the count back and counts the table in the running occupancy.
     Each of the ``avg_window`` sweeps after burn-in adds its per-instance
     count histograms to the window sums that ``averaged_na`` and the refit
     read.  The sweeps stop when the window closes, since nothing reads a
@@ -334,15 +313,7 @@ def run_gibbs(
                 if t < ell:
                     like = (na[t][a] + beta[t][a]) / (rows[t] + brows[t])
                     weights.append(like * alpha[t] / (position + alpha[t] - 1.0))
-                total = _pairwise_sum(weights)
-                r = next(uniforms)
-                acc = 0.0
-                z = len(weights) - 1
-                for t in range(z):
-                    acc += weights[t] / total
-                    if r < acc:
-                        z = t
-                        break
+                z = _draw(weights, next(uniforms) * sum(weights))
                 seats[n] = z
                 na[z][a] += 1.0
                 rows[z] += 1.0

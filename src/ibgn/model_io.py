@@ -108,11 +108,16 @@ def save_bundle(path, bundle: ModelBundle) -> None:
         handle.write("\n")
 
 
+def _distinct_strings(names) -> bool:
+    return isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)
+
+
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`; raise
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
-    deeply, for another schema version or shape, or for parameters that do
-    not decode or do not validate."""
+    deeply, for another schema version or shape, for a ``vocab`` that is not
+    a list of distinct non-empty strings or ``classes`` that are not distinct
+    strings, or for parameters that do not decode or do not validate."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
@@ -126,8 +131,11 @@ def load_bundle(path) -> ModelBundle:
     if version != SCHEMA_VERSION:
         raise BundleInvalid(f"unsupported model schema version: {version!r}")
     try:
-        vocab = list(document["vocab"])
-        classes = list(document["classes"])
+        vocab, classes = document["vocab"], document["classes"]
+        if not _distinct_strings(vocab) or "" in vocab:
+            raise ValueError("vocab must be a list of distinct non-empty strings")
+        if not _distinct_strings(classes):
+            raise ValueError("classes must be a list of distinct strings")
         models = {name: _decode_model(document["models"][name], vocab) for name in classes}
     except KeyError as exc:
         raise BundleInvalid(f"model bundle has no entry {exc}") from exc

@@ -112,6 +112,7 @@ def random_model(rng: np.random.Generator, vocab_size: int = 3, k_star: int = 5)
 
 MALFORMED_BUNDLE_CASES = (
     "no_models", "top_level_list", "class_without_model", "model_without_phi", "classes_not_a_list",
+    "vocab_a_string", "vocab_not_strings", "vocab_repeated", "vocab_empty_name", "classes_repeated",
     "nan_phi", "nan_alpha", "inf_beta",
 )
 
@@ -133,6 +134,16 @@ def malformed_bundle(valid: dict, case: str):
         del document["models"][document["classes"][0]]["phi"]
     elif case == "classes_not_a_list":
         document["classes"] = 5
+    elif case == "vocab_a_string":
+        document["vocab"] = "".join(name[0] for name in document["vocab"])  # one name per character
+    elif case == "vocab_not_strings":
+        document["vocab"] = list(range(1, len(document["vocab"]) + 1))
+    elif case == "vocab_repeated":
+        document["vocab"][-1] = document["vocab"][0]
+    elif case == "vocab_empty_name":
+        document["vocab"][0] = ""
+    elif case == "classes_repeated":
+        document["classes"].append(document["classes"][0])
     elif case in ("nan_phi", "nan_alpha", "inf_beta"):
         model = document["models"][document["classes"][0]]
         if case == "nan_phi":

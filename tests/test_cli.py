@@ -399,6 +399,19 @@ class TestPerturb:
             for iv in inst.intervals:
                 assert iv.start < iv.end
 
+    def test_durations_past_the_largest_float_fail_cleanly(self, tmp_path, capsys):
+        corpus = tmp_path / "huge.jsonl"
+        corpus.write_text('{"label":"a","intervals":[{"action":"x","start":1.7e308,"end":1.79e308}]}\n')
+        out = tmp_path / "pert.jsonl"
+        code = main(
+            ["perturb", "--input", str(corpus), "--kind", "durations",
+             "--rate", "1.0", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite endpoint" in err[0]
+        assert not out.exists()
+
 
 class TestAlgebra:
     def test_compose(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,13 @@ class TestLoadInstances:
         assert reloaded.instances == corpus.instances
         assert reloaded.vocab == corpus.vocab
         assert reloaded.classes == corpus.classes
+
+    def test_save_refuses_non_finite_times_before_writing(self, tmp_path):
+        finite = Instance("a", (Interval(1, 0.0, 1.0),))
+        corpus = Corpus([finite, Instance("a", (Interval(1, 0.0, math.inf),))], ["x"], ["a"])
+        with pytest.raises(ValueError):
+            save_instances(corpus, tmp_path / "inf.jsonl")
+        assert not (tmp_path / "inf.jsonl").exists()
 
     def test_save_is_byte_stable(self, tmp_path):
         corpus = build_synthetic_corpus(two_class_models(), per_class=5, seed=11)
@@ -305,6 +313,12 @@ class TestPerturbDurations:
     def test_non_finite_jitter_range_rejected(self, rate):
         with pytest.raises(ValueError, match="non-finite jitter range"):
             perturb_durations(self._corpus(), rate)
+
+    @pytest.mark.parametrize("seed", [1, 5, 7, 8])
+    def test_endpoint_jittered_past_the_largest_float_rejected(self, seed):
+        corpus = Corpus([Instance("a", (Interval(1, 1.7e308, 1.79e308),))], ["x"], ["a"])
+        with pytest.raises(ValueError, match=r"\[1\.7e\+308, 1\.79e\+308\] to a non-finite endpoint"):
+            perturb_durations(corpus, 1.0, seed=seed)
 
 
 class TestBuildSyntheticCorpus:

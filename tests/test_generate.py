@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -81,7 +82,7 @@ def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator
     occupancy = []
 
     def next_action():
-        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng) + 1
+        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng.random()) + 1
 
     actions = [next_action()]
     x = ConstraintMatrix()
@@ -96,7 +97,7 @@ def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator
             probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
             if probs is None:
                 probs = np.full(len(members), 1.0 / len(members))
-            relation = members[_draw(probs, rng)]
+            relation = members[_draw(probs, rng.random())]
             x[pair] = RelationSet.of(relation)
             relations[pair] = relation
     return IntervalNetwork(actions=tuple(actions), relations=relations)
@@ -158,6 +159,30 @@ class TestCrpTableDistribution:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         expected_len = min(len(counts) + 1, budget)
         assert len(probs) == expected_len
+
+
+class TestDraw:
+    WEIGHTS = [1.0, 2.0, 1.0]  # cumulative 1, 3, 4
+
+    def test_first_index_whose_cumulative_weight_exceeds_the_threshold(self):
+        for threshold, index in ((0.0, 0), (0.999, 0), (1.0, 1), (2.999, 1), (3.0, 2), (3.999, 2)):
+            assert _draw(self.WEIGHTS, threshold) == index, threshold
+
+    def test_threshold_at_or_past_the_total_gives_the_last_index(self):
+        for threshold in (4.0, 4.5, 1e300, math.inf):
+            assert _draw(self.WEIGHTS, threshold) == 2
+        assert _draw([5.0], 0.0) == _draw([5.0], 7.0) == 0
+
+    def test_power_of_two_scaling_keeps_the_index(self):
+        # scaling weights and total by 2**e is exact, so the scan compares the same values
+        normalized = np.asarray(self.WEIGHTS) / 4.0
+        rng = np.random.default_rng(17)
+        for r in rng.random(200).tolist() + [0.0, 0.25, 0.75, 0.99999]:
+            want = _draw(self.WEIGHTS, r * sum(self.WEIGHTS))
+            for exponent in (-40, -3, 1, 9, 60):
+                scaled = [math.ldexp(w, exponent) for w in self.WEIGHTS]
+                assert _draw(scaled, r * sum(scaled)) == want, (r, exponent)
+            assert _draw(normalized, r) == want, r
 
 
 class TestSeatNext:
