@@ -149,18 +149,15 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class SamplerState:
-    """Mutable state of the collapsed sampler over one class's corpus."""
+    """What :func:`run_gibbs` fits and :func:`update_hyperparams` refits for one class's corpus."""
 
-    actions: List[List[int]]  # per instance, 0-based action columns
     assignments: List[List[int]]  # per instance, table index per node
-    action_counts: np.ndarray  # (ell, M) corpus-wide table/action counts
-    row_totals: np.ndarray  # (ell,) row sums of action_counts
     alpha: np.ndarray  # (ell,)
     beta: np.ndarray  # (ell, M)
-    window_table: Optional[np.ndarray] = None  # (ell, cap) window-summed histograms of per-instance occupancy
-    window_alpha: Optional[np.ndarray] = None  # (ell, cap) same but excluding each instance's first seat
-    window_action: Optional[np.ndarray] = None  # (ell, M, cap) same for per-instance action counts
-    length_hist: Optional[np.ndarray] = None  # (cap,) histogram of instance lengths minus the first seat
+    window_table: np.ndarray  # (ell, cap) window-summed histograms of per-instance occupancy
+    window_alpha: np.ndarray  # (ell, cap) same but excluding each instance's first seat
+    window_action: np.ndarray  # (ell, M, cap) same for per-instance action counts
+    length_hist: np.ndarray  # (cap,) histogram of instance lengths minus the first seat
     window_sweeps: int = 0  # sweeps summed into the window histograms
 
     @property
@@ -207,8 +204,7 @@ def update_hyperparams(state: SamplerState, config: TrainConfig) -> Tuple[np.nda
     it is the instance's action counts at that table, with total its node
     count there.  The new values are written into the state and returned.
     """
-    windows = (state.window_table, state.window_alpha, state.window_action, state.length_hist)
-    if state.window_sweeps == 0 or any(h is None for h in windows):
+    if state.window_sweeps == 0:
         raise ValueError("no count samples recorded yet")
     lo, hi = config.clamp_lo, config.clamp_hi
     state.alpha = _polya_step(state.alpha, state.window_alpha, state.window_sweeps * state.length_hist, lo, hi)
@@ -236,19 +232,19 @@ def run_gibbs(
 
     Assignments are initialized by a sequential draw from the seating prior;
     each of the first ``burn_in + avg_window`` sweeps then reseats every node
-    of every instance in order, at the initial hyperparameters, on list
-    copies of the counts, alpha and beta.  Per node a sweep removes the
-    node's count, weighs the tables, draws one by
-    :func:`~ibgn.generate._draw` at one uniform times the weights' sum, adds
-    the count back and counts the table in the running occupancy.
-    Each of the ``avg_window`` sweeps after burn-in adds its per-instance
-    count histograms to the window sums that ``averaged_na`` and the refit
-    read.  The sweeps stop when the window closes, since nothing reads a
-    later seating: the remaining ``iterations - burn_in - avg_window`` steps
-    are fixed-point refits over the window sums alone.  ``rng`` is advanced
-    only by the prior draw and the sweeps, one uniform per node each.  The
-    returned state holds the seating of the last window sweep.  Fixed seed,
-    config and corpus give bit-identical results.
+    of every instance in order, at the initial hyperparameters, on local lists
+    of the table/action counts, alpha and beta.  Per node a sweep removes the
+    node's count, weighs the tables, draws one by :func:`~ibgn.generate._draw`
+    at one uniform times the weights' sum, adds the count back and counts the
+    table in the running occupancy.  Each of the ``avg_window`` sweeps after
+    burn-in adds its per-instance count histograms to the window sums that
+    ``averaged_na`` and the refit read.  The sweeps stop when the window
+    closes, since nothing reads a later seating: the remaining
+    ``iterations - burn_in - avg_window`` steps are fixed-point refits over
+    the window sums alone.  ``rng`` is advanced only by the prior draw and the
+    sweeps, one uniform per node each.  The returned state holds the last
+    window sweep's seating, the refit alpha and beta and the window sums.
+    Fixed seed, config and corpus give bit-identical results.
     """
     if not instances:
         raise EmptyCorpus("cannot run the sampler on an empty corpus")
@@ -265,10 +261,7 @@ def run_gibbs(
 
     cap = longest + 1
     state = SamplerState(
-        actions=actions,
         assignments=[[] for _ in actions],
-        action_counts=np.zeros((ell, vocab_size)),
-        row_totals=np.zeros(ell),
         alpha=np.full(ell, float(config.alpha_init)),
         beta=np.full((ell, vocab_size), float(config.beta_init)),
         window_table=np.zeros((ell, cap)),
@@ -281,8 +274,8 @@ def run_gibbs(
     node_cells = np.asarray(
         [d * cells + a for d, inst_actions in enumerate(actions) for a in inst_actions], dtype=np.int64
     )
-    # the sweeps work on list copies; alpha and beta stay fixed until the refits
-    na, rows = state.action_counts.tolist(), state.row_totals.tolist()
+    # the sweep's table/action counts live only in these lists; alpha and beta stay fixed until the refits
+    na, rows = [[0.0] * vocab_size for _ in range(ell)], [0.0] * ell
     alpha, beta = state.alpha.tolist(), state.beta.tolist()
     brows = [float(config.beta_init) * vocab_size] * ell
 
@@ -330,8 +323,6 @@ def run_gibbs(
         occ[:, 0] -= 1  # every instance seats its first node at table 0, the only one open to it
         _add_histograms(state.window_alpha, occ)
         state.window_sweeps += 1
-    state.action_counts = np.asarray(na)
-    state.row_totals = np.asarray(rows)
     for _ in range(config.iterations - sweeps):
         update_hyperparams(state, config)
     return state

@@ -75,21 +75,33 @@ def _encode_model(model: ClassModel) -> Dict[str, object]:
     }
 
 
+def _int(value) -> int:
+    """``value`` itself if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, not {value!r}")
+    return value
+
+
 def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel:
     phi = {}
     for entry in obj["phi"]:
-        key = (int(entry["i"]), int(entry["j"]), RelationSet.from_text(entry["constraint"]).bits)
+        key = (_int(entry["i"]), _int(entry["j"]), RelationSet.from_text(entry["constraint"]).bits)
+        if key in phi:
+            raise ValueError(f"phi key {key} repeats")
         phi[key] = np.asarray([float(p) for p in entry["probs"]])
+    sizes = obj["size_histogram"]
+    if any(size != str(int(size)) for size in sizes):
+        raise ValueError(f"size histogram keys must be integers in plain decimal, not {list(sizes)}")
     model = ClassModel(
-        k_star=int(obj["k_star"]),
-        ell=int(obj["ell"]),
+        k_star=_int(obj["k_star"]),
+        ell=_int(obj["ell"]),
         alpha=np.asarray([float(a) for a in obj["alpha"]]),
         beta=np.asarray([[float(b) for b in row] for row in obj["beta"]]),
         theta=np.asarray([[float(t) for t in row] for row in obj["theta"]]),
-        structure=StructureMask.of(obj["structure"]),
+        structure=StructureMask.of((_int(i), _int(j)) for i, j in obj["structure"]),
         phi=phi,
         action_vocab=tuple(vocab),
-        size_histogram={int(size): int(count) for size, count in obj["size_histogram"].items()},
+        size_histogram={int(size): _int(count) for size, count in sizes.items()},
     )
     model.validate()
     return model
@@ -117,7 +129,8 @@ def load_bundle(path) -> ModelBundle:
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
     deeply, for another schema version or shape, for a ``vocab`` that is not
     a list of distinct non-empty strings or ``classes`` that are not distinct
-    strings, or for parameters that do not decode or do not validate."""
+    strings, for an integer field that is not a JSON integer, for a repeated
+    phi key, or for parameters that do not decode or do not validate."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)

@@ -113,7 +113,9 @@ def random_model(rng: np.random.Generator, vocab_size: int = 3, k_star: int = 5)
 MALFORMED_BUNDLE_CASES = (
     "no_models", "top_level_list", "class_without_model", "model_without_phi", "classes_not_a_list",
     "vocab_a_string", "vocab_not_strings", "vocab_repeated", "vocab_empty_name", "classes_repeated",
-    "nan_phi", "nan_alpha", "inf_beta",
+    "nan_phi", "nan_alpha", "inf_beta", "vocab_empty_list", "negative_alpha", "negative_theta",
+    "phi_i_past_vocab", "k_star_float", "k_star_string", "size_count_float", "size_count_bool",
+    "size_key_padded", "structure_float", "phi_i_float", "phi_key_repeated",
 )
 
 
@@ -144,16 +146,42 @@ def malformed_bundle(valid: dict, case: str):
         document["vocab"][0] = ""
     elif case == "classes_repeated":
         document["classes"].append(document["classes"][0])
-    elif case in ("nan_phi", "nan_alpha", "inf_beta"):
+    elif case == "vocab_empty_list":
+        document["vocab"] = []
+    else:
         model = document["models"][document["classes"][0]]
+        sizes = list(model["size_histogram"])
         if case == "nan_phi":
             model["phi"][0]["probs"] = ["nan"] * len(model["phi"][0]["probs"])
         elif case == "nan_alpha":
             model["alpha"] = ["nan"] * len(model["alpha"])
-        else:
+        elif case == "inf_beta":
             model["beta"][0][0] = "inf"
-    else:
-        raise ValueError(case)
+        elif case == "negative_alpha":
+            model["alpha"][0] = "-1.0"
+        elif case == "negative_theta":  # the row still sums to 1
+            model["theta"][0] = ["1.5", "-0.5"] + ["0"] * (len(model["theta"][0]) - 2)
+        elif case == "phi_i_past_vocab":
+            model["phi"][0]["i"] = len(document["vocab"]) + 1
+        # non-integers that int() would coerce, and a key that would overwrite an earlier entry
+        elif case == "k_star_float":
+            model["k_star"], model["ell"] = model["k_star"] + 0.9, model["ell"] + 0.2
+        elif case == "k_star_string":
+            model["k_star"] = str(model["k_star"])
+        elif case == "size_count_float":
+            model["size_histogram"][sizes[0]] = 2.7
+        elif case == "size_count_bool":
+            model["size_histogram"][sizes[0]] = True
+        elif case == "size_key_padded":
+            model["size_histogram"]["0" + sizes[0]] = model["size_histogram"].pop(sizes[0])
+        elif case == "structure_float":
+            model["structure"] = [[0, 1.9]]
+        elif case == "phi_i_float":
+            model["phi"][0]["i"] += 0.5
+        elif case == "phi_key_repeated":
+            model["phi"].append(copy.deepcopy(model["phi"][0]))
+        else:
+            raise ValueError(case)
     return document
 
 

@@ -287,10 +287,7 @@ def test_criterion_09_hyperparameter_fixed_point_and_digamma():
                         action_counts[s, :, z, i], minlength=cap
                     )
         state = SamplerState(
-            actions=[[0]],
             assignments=[[0]],
-            action_counts=action_counts[-1].sum(axis=0).astype(float),
-            row_totals=action_counts[-1].sum(axis=(0, 2)).astype(float),
             alpha=np.ones(ell),
             beta=np.full((ell, m), 0.5),
             window_table=hist_table.sum(axis=0),

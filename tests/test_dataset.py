@@ -22,7 +22,7 @@ from ibgn import (
     save_instances,
 )
 from ibgn.dataset import Corpus
-from ibgn.errors import DegenerateInterval, InsufficientClassInstances, ParseError
+from ibgn.errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
 from conftest import two_class_models
 
 
@@ -201,6 +201,10 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(self._corpus({"x": 4}), folds=1)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(EmptyCorpus):
+            kfold_split(Corpus(), 2)
+
 
 class TestPerturbLabels:
     def _corpus(self, seed=0):
@@ -266,7 +270,7 @@ class TestPerturbDurations:
         corpus = self._corpus()
         out = perturb_durations(corpus, 0.6, seed=4)
         for inst in out.instances:
-            assert inst.is_canonical
+            assert inst.is_canonical()
             for iv in inst.intervals:
                 assert iv.start < iv.end
             # still a well-formed network
@@ -330,7 +334,7 @@ class TestBuildSyntheticCorpus:
         assert corpus.vocab == list(models["assemble"].action_vocab)
         for inst in corpus.instances:
             assert inst.label in models
-            assert inst.is_canonical
+            assert inst.is_canonical()
             assert check_consistency(instance_to_network(inst)).consistent
 
     def test_sizes_come_from_histogram(self):
@@ -356,7 +360,9 @@ class TestBuildSyntheticCorpus:
             build_synthetic_corpus(models, per_class=2, seed=0)
 
     def test_empty_model_map_rejected(self):
-        from ibgn.errors import EmptyCorpus
-
         with pytest.raises(EmptyCorpus):
             build_synthetic_corpus({}, per_class=2, seed=0)
+
+    def test_zero_per_class_rejected(self):
+        with pytest.raises(ValueError):
+            build_synthetic_corpus(two_class_models(), 0)

@@ -146,6 +146,10 @@ class TestCrpTableDistribution:
         raw = np.array([2.0 / (2 + 0.5), 4.0 / (2 + 4.0)])
         np.testing.assert_allclose(probs, raw / raw.sum())
 
+    def test_more_occupied_tables_than_budget_rejected(self):
+        with pytest.raises(ValueError):
+            crp_table_distribution([1.0, 1.0, 1.0], np.ones(2))
+
     @given(
         counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
         extra=st.integers(0, 3),
@@ -303,7 +307,7 @@ class TestRealizeTimestamps:
             inst = realize_timestamps(net, label="x")
             assert inst.label == "x"
             assert len(inst) == k
-            assert inst.is_canonical
+            assert inst.is_canonical()
             realized = instance_to_network(inst)
             for (i, j), rel in net.relations.items():
                 assert realized.relation(i, j) is rel

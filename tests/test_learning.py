@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -50,10 +51,12 @@ def make_instance(*triples, label=None):
 
 
 def make_state(action_counts, alpha, beta, actions=((0,),), assignments=((0,),)):
+    """Scratch sampler state for the conditional oracles: the seating and the
+    corpus-wide table/action counts that one node update reads."""
     action_counts = np.asarray(action_counts, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    return SamplerState(
+    return SimpleNamespace(
         actions=[list(a) for a in actions],
         assignments=[list(a) for a in assignments],
         action_counts=action_counts,
@@ -209,6 +212,7 @@ def prefix_run_gibbs(instances, vocab_size, config, rng, ell=None):
     state.window_alpha = np.zeros((ell, cap))
     state.window_action = np.zeros((ell, vocab_size, cap))
     state.length_hist = np.bincount([len(a) - 1 for a in actions], minlength=cap).astype(float)
+    state.window_sweeps = 0
 
     def move(d, n, z, step):
         state.assignments[d][n] = z if step > 0 else -1
@@ -238,9 +242,14 @@ def prefix_run_gibbs(instances, vocab_size, config, rng, ell=None):
             state.window_alpha[tables, occupancy] += 1
             state.window_action[tables[:, None], np.arange(vocab_size), counts] += 1
         state.window_sweeps += 1
+    fit = SamplerState(
+        assignments=state.assignments, alpha=state.alpha, beta=state.beta,
+        window_table=state.window_table, window_alpha=state.window_alpha,
+        window_action=state.window_action, length_hist=state.length_hist, window_sweeps=state.window_sweeps,
+    )
     for _ in range(config.iterations - config.burn_in - config.avg_window):
-        update_hyperparams(state, config)
-    return state
+        update_hyperparams(fit, config)
+    return fit
 
 
 def _occupancy(seats):
@@ -336,13 +345,6 @@ def state_with_samples(occupancy, first_seats, action_counts, alpha, beta):
     size, count, ell = occupancy.shape
     m = action_counts.shape[3]
     cap = int(occupancy.sum(axis=2).max()) + 1
-    state = make_state(
-        action_counts=action_counts[-1].sum(axis=0),
-        alpha=np.asarray(alpha, dtype=float),
-        beta=np.asarray(beta, dtype=float),
-        actions=[[0]],
-        assignments=[[0]],
-    )
     rest = occupancy.copy()
     for s in range(size):
         rest[s, np.arange(count), first_seats[s]] -= 1
@@ -357,14 +359,16 @@ def state_with_samples(occupancy, first_seats, action_counts, alpha, beta):
                 hist_action[s, z, i] = np.bincount(
                     action_counts[s, :, z, i], minlength=cap
                 )
-    state.window_table = hist_table.sum(axis=0)
-    state.window_alpha = hist_alpha.sum(axis=0)
-    state.window_action = hist_action.sum(axis=0)
-    state.length_hist = np.bincount(
-        occupancy[0].sum(axis=1) - 1, minlength=cap
-    ).astype(float)
-    state.window_sweeps = size
-    return state
+    return SamplerState(
+        assignments=[[0]],
+        alpha=np.asarray(alpha, dtype=float),
+        beta=np.asarray(beta, dtype=float),
+        window_table=hist_table.sum(axis=0),
+        window_alpha=hist_alpha.sum(axis=0),
+        window_action=hist_action.sum(axis=0),
+        length_hist=np.bincount(occupancy[0].sum(axis=1) - 1, minlength=cap).astype(float),
+        window_sweeps=size,
+    )
 
 
 # over-dispersed sample set: every table sees repeated multi-count samples
@@ -493,26 +497,20 @@ class TestPolyaStep:
 
 class TestUpdateHyperparams:
     def test_requires_history(self):
-        state = make_state(
-            action_counts=[[1.0]], alpha=[1.0], beta=[[0.5]],
-            actions=[[0]], assignments=[[0]],
+        state = SamplerState(
+            assignments=[[0]], alpha=np.ones(1), beta=np.full((1, 1), 0.5),
+            window_table=np.zeros((1, 2)), window_alpha=np.zeros((1, 2)),
+            window_action=np.zeros((1, 1, 2)), length_hist=np.zeros(2), window_sweeps=0,
         )
         with pytest.raises(ValueError):
             update_hyperparams(state, TrainConfig())
 
     def test_empty_history_leaves_parameters_unchanged(self):
-        state = make_state(
-            action_counts=[[0.0, 0.0], [0.0, 0.0]],
-            alpha=[1.0, 2.0],
-            beta=np.full((2, 2), 0.5),
-            actions=[[0]],
-            assignments=[[0]],
+        state = SamplerState(
+            assignments=[[0]], alpha=np.asarray([1.0, 2.0]), beta=np.full((2, 2), 0.5),
+            window_table=np.zeros((2, 4)), window_alpha=np.zeros((2, 4)),
+            window_action=np.zeros((2, 2, 4)), length_hist=np.zeros(4), window_sweeps=3,
         )
-        state.window_table = np.zeros((2, 4))
-        state.window_alpha = np.zeros((2, 4))
-        state.window_action = np.zeros((2, 2, 4))
-        state.length_hist = np.zeros(4)
-        state.window_sweeps = 3
         new_alpha, new_beta = update_hyperparams(state, TrainConfig())
         np.testing.assert_array_equal(new_alpha, [1.0, 2.0])
         np.testing.assert_array_equal(new_beta, np.full((2, 2), 0.5))
@@ -629,8 +627,8 @@ class TestRunGibbs:
         )
         occupancy = np.zeros((count, ell), dtype=np.int64)
         per_instance = np.zeros((count, ell, m), dtype=np.int64)
-        for d, (seats, actions) in enumerate(zip(state.assignments, state.actions)):
-            for z, a in zip(seats, actions):
+        for d, (seats, inst) in enumerate(zip(state.assignments, corpus)):
+            for z, a in zip(seats, (iv.action - 1 for iv in inst.intervals)):
                 occupancy[d, z] += 1
                 per_instance[d, z, a] += 1
         rest = occupancy.copy()
@@ -679,7 +677,7 @@ class TestRunGibbs:
             got = run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             want = prefix_run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             assert got.assignments == want.assignments
-            for name in ("averaged_na", "alpha", "beta", "action_counts", "window_alpha"):
+            for name in ("averaged_na", "alpha", "beta", "window_alpha"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_budget_override(self):

@@ -15,6 +15,7 @@ from ibgn import (
     FULL_SET,
     Instance,
     Interval,
+    IntervalNetwork,
     RelationSet,
     StructureMask,
     check_consistency,
@@ -44,7 +45,7 @@ class TestIntervalAndInstance:
         inst = make_instance((1, 5, 6), (2, 0, 4), (3, 0, 2))
         ordered = inst.canonicalized()
         assert [iv.times for iv in ordered.intervals] == [(0.0, 2.0), (0.0, 4.0), (5.0, 6.0)]
-        assert inst.canonicalized().is_canonical
+        assert inst.canonicalized().is_canonical()
 
 
 class TestInstanceToNetwork:
@@ -54,6 +55,10 @@ class TestInstanceToNetwork:
         assert net.relation(0, 1) is M
         assert net.relation(0, 2) is M
         assert net.relation(1, 2) is S
+
+    def test_relation_of_pair_past_the_last_node_rejected(self):
+        with pytest.raises(IndexError):
+            IntervalNetwork((1, 2)).relation(1, 2)
 
     def test_non_canonical_rejected(self):
         inst = make_instance((1, 5, 6), (2, 0, 1))
@@ -124,6 +129,10 @@ class TestComputeConstraint:
         }
         with pytest.raises(EmptyConstraint):
             compute_constraint(x, 0, 3)
+
+    def test_pair_not_in_order_rejected(self):
+        with pytest.raises(ValueError):
+            compute_constraint({}, 2, 2)
 
 
 class TestStructureMask:
