@@ -34,6 +34,7 @@ from .dataset import (
 )
 from .generate import (
     ClassModel,
+    count_seat,
     crp_table_distribution,
     realize_timestamps,
     sample_instance,
@@ -56,7 +57,7 @@ from .learning import (
     train_class_model,
     update_hyperparams,
 )
-from .model_io import ModelBundle, load_bundle, save_bundle
+from .model_io import SCHEMA_VERSION, ModelBundle, load_bundle, save_bundle
 from .network import (
     ConsistencyReport,
     ConstraintMatrix,

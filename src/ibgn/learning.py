@@ -36,18 +36,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .algebra import relation_of
 from .dataset import Corpus
 from .errors import ConfigInvalid, DomainError, EmptyCorpus
 from .generate import ClassModel, _draw, count_seat, seat_next
 from .model_io import ModelBundle
-from .network import (
-    NULL_ACTION,
-    Instance,
-    IntervalNetwork,
-    StructureMask,
-    instance_to_network,
-    scan_link_constraints,
-)
+from .network import NULL_ACTION, Instance, StructureMask, scan_link_constraints
 
 __all__ = [
     "TrainConfig",
@@ -58,6 +52,7 @@ __all__ = [
     "estimate_theta",
     "estimate_phi",
     "collect_link_counts",
+    "NULL_RELATION_CODE",
     "BicFamilyCounts",
     "bic_family_score",
     "learn_structure",
@@ -386,38 +381,30 @@ def estimate_phi(
 
 @dataclass(frozen=True)
 class BicFamilyCounts:
-    """Sufficient statistics of one pair's relation variable.
+    """Sufficient statistics of one pair's relation variable: how many
+    instances have each ``((parent actions), relation code)``.
 
     Relation codes are 0..6 for the forward relations and 7 for null; parent
-    configurations are the two node actions (0 = null).  A node at or past a
-    network's end is null, as is any relation that touches it.
+    configurations are the two node actions (0 = null).  A node at or past an
+    instance's end is null, as is any relation that touches it.
     """
 
     joint: Mapping[Tuple[Tuple[int, int], int], int]
-    marginal: Mapping[int, int]
-    dataset_size: int
     vocab_size: int
 
 
-def _family_counts(
-    networks: Sequence[IntervalNetwork], i: int, j: int, vocab_size: int
-) -> BicFamilyCounts:
-    joint: Counter = Counter()
-    marginal: Counter = Counter()
-    for net in networks:
-        actions = net.actions
-        parents = (
-            actions[i] if i < len(actions) else NULL_ACTION,
-            actions[j] if j < len(actions) else NULL_ACTION,
-        )
-        relation = net.relations.get((i, j))
-        code = NULL_RELATION_CODE if relation is None else relation.value
-        joint[(parents, code)] += 1
-        marginal[code] += 1
-    return BicFamilyCounts(
-        joint=dict(joint), marginal=dict(marginal),
-        dataset_size=len(networks), vocab_size=vocab_size,
-    )
+def _family_counts(instances: Sequence[Instance], k_star: int) -> Dict[Tuple[int, int], Counter]:
+    """The joint counts of every pair ``(i, j)`` of ``range(k_star)``, keys in order of first
+    occurrence, in one pass that reads every pair inside an instance with ``relation_of`` (so
+    an instance out of canonical order raises :class:`~ibgn.errors.OrderViolation`)."""
+    joint = {(i, j): Counter() for i in range(k_star) for j in range(i + 1, k_star)}
+    for inst in instances:
+        times = [iv.times for iv in inst.intervals]
+        actions = [iv.action for iv in inst.intervals] + [NULL_ACTION] * (k_star - len(times))
+        for (i, j), counts in joint.items():
+            code = relation_of(times[i], times[j]).value if j < len(times) else NULL_RELATION_CODE
+            counts[((actions[i], actions[j]), code)] += 1
+    return joint
 
 
 def bic_family_score(counts: BicFamilyCounts, with_parents: bool) -> float:
@@ -426,23 +413,22 @@ def bic_family_score(counts: BicFamilyCounts, with_parents: bool) -> float:
     Log-likelihood of the observed relation values (0 log 0 = 0) minus the
     complexity penalty ``log(D)/2 * 7 * num_parent_configurations`` — the
     relation variable contributes 7 free probabilities per configuration, and
-    the actions range over the vocabulary plus null.
+    the actions range over the vocabulary plus null.  ``D`` and the marginal
+    counts are sums of the joint counts.
     """
-    size = counts.dataset_size
+    size = sum(counts.joint.values())
     if size <= 0:
         raise EmptyCorpus("BIC needs at least one instance")
     penalty_unit = math.log(size) / 2.0 * 7.0
+    totals: Counter = Counter()
     if with_parents:
-        parent_totals: Counter = Counter()
         for (parents, _code), n in counts.joint.items():
-            parent_totals[parents] += n
-        loglik = sum(
-            n * math.log(n / parent_totals[parents])
-            for (parents, _code), n in counts.joint.items()
-            if n > 0
-        )
+            totals[parents] += n
+        loglik = sum(n * math.log(n / totals[parents]) for (parents, _code), n in counts.joint.items() if n > 0)
         return loglik - penalty_unit * (counts.vocab_size + 1) ** 2
-    loglik = sum(n * math.log(n / size) for n in counts.marginal.values() if n > 0)
+    for (_parents, code), n in counts.joint.items():  # the marginal, codes in order of first occurrence
+        totals[code] += n
+    loglik = sum(n * math.log(n / size) for n in totals.values() if n > 0)
     return loglik - penalty_unit
 
 
@@ -460,13 +446,11 @@ def learn_structure(instances: Sequence[Instance], vocab_size: int) -> Structure
     k_star = max(len(inst) for inst in instances)
     if k_star == 0:
         raise EmptyCorpus("every instance is empty")
-    networks = [instance_to_network(inst) for inst in instances]
     links = []
-    for i in range(k_star):
-        for j in range(i + 1, k_star):
-            counts = _family_counts(networks, i, j, vocab_size)
-            if bic_family_score(counts, True) > bic_family_score(counts, False):
-                links.append((i, j))
+    for pair, joint in _family_counts(instances, k_star).items():
+        counts = BicFamilyCounts(joint, vocab_size)
+        if bic_family_score(counts, True) > bic_family_score(counts, False):
+            links.append(pair)
     return StructureMask.of(links)
 
 
@@ -522,7 +506,7 @@ def _fit_class(payload) -> Tuple[str, ClassModel]:
 def train_bundle(
     corpus: Corpus, config: TrainConfig, seed_key: Sequence[int], jobs: int = 1
 ) -> ModelBundle:
-    """Fit one model per class of ``corpus``; fan out over processes when jobs > 1.
+    """Fit one model per class of ``corpus``; when jobs > 1, in at most one process per class.
 
     Seed rule: class ``idx`` of ``corpus.classes`` trains with the rng
     ``default_rng(seed_key + [idx])`` and results are merged in class order,
@@ -537,7 +521,7 @@ def train_bundle(
     ]
     if jobs > 1:
         import concurrent.futures  # only a process pool needs it; ``import ibgn`` stays lighter
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             models = dict(pool.map(_fit_class, payloads))
     else:
         models = dict(map(_fit_class, payloads))

@@ -82,22 +82,34 @@ def _int(value) -> int:
     return value
 
 
+def _reals(values) -> List[float]:
+    """A list of reals as :func:`save_bundle` writes them: ASCII strings without whitespace or
+    underscores.  ``float`` alone would also take booleans, numbers and text such as ``" 1_0.5"``;
+    one scan of the joined list rejects them."""
+    if type(values) is not list:
+        raise ValueError(f"expected a list of reals, not {values!r}")
+    joined = "".join(values)  # TypeError on a value that is not a string
+    if joined.split() != [joined] or "_" in joined or not joined.isascii():
+        raise ValueError(f"reals must be strings without whitespace or underscores, not {values!r}")
+    return [float(v) for v in values]
+
+
 def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel:
     phi = {}
     for entry in obj["phi"]:
         key = (_int(entry["i"]), _int(entry["j"]), RelationSet.from_text(entry["constraint"]).bits)
         if key in phi:
             raise ValueError(f"phi key {key} repeats")
-        phi[key] = np.asarray([float(p) for p in entry["probs"]])
+        phi[key] = np.asarray(_reals(entry["probs"]))
     sizes = obj["size_histogram"]
     if any(size != str(int(size)) for size in sizes):
         raise ValueError(f"size histogram keys must be integers in plain decimal, not {list(sizes)}")
     model = ClassModel(
         k_star=_int(obj["k_star"]),
         ell=_int(obj["ell"]),
-        alpha=np.asarray([float(a) for a in obj["alpha"]]),
-        beta=np.asarray([[float(b) for b in row] for row in obj["beta"]]),
-        theta=np.asarray([[float(t) for t in row] for row in obj["theta"]]),
+        alpha=np.asarray(_reals(obj["alpha"])),
+        beta=np.asarray([_reals(row) for row in obj["beta"]]),
+        theta=np.asarray([_reals(row) for row in obj["theta"]]),
         structure=StructureMask.of((_int(i), _int(j)) for i, j in obj["structure"]),
         phi=phi,
         action_vocab=tuple(vocab),
@@ -129,8 +141,8 @@ def load_bundle(path) -> ModelBundle:
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
     deeply, for another schema version or shape, for a ``vocab`` that is not
     a list of distinct non-empty strings or ``classes`` that are not distinct
-    strings, for an integer field that is not a JSON integer, for a repeated
-    phi key, or for parameters that do not decode or do not validate."""
+    strings, for an integer or real field not written as ``save_bundle`` does,
+    for a repeated phi key, or for parameters that do not decode or validate."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)

@@ -12,16 +12,18 @@ import numpy as np
 
 import ibgn
 from ibgn import (
+    BicFamilyCounts,
     ClassModel,
     FULL_SET,
     Instance,
     Interval,
+    NULL_ACTION,
+    NULL_RELATION_CODE,
     StructureMask,
     TrainConfig,
     bic_family_score,
     instance_to_network,
 )
-from ibgn.learning import _family_counts
 
 
 def child_env(**overrides):
@@ -116,6 +118,7 @@ MALFORMED_BUNDLE_CASES = (
     "nan_phi", "nan_alpha", "inf_beta", "vocab_empty_list", "negative_alpha", "negative_theta",
     "phi_i_past_vocab", "k_star_float", "k_star_string", "size_count_float", "size_count_bool",
     "size_key_padded", "structure_float", "phi_i_float", "phi_key_repeated",
+    "alpha_bool", "alpha_text", "beta_underscore", "theta_padded", "phi_probs_number",
 )
 
 
@@ -180,6 +183,17 @@ def malformed_bundle(valid: dict, case: str):
             model["phi"][0]["i"] += 0.5
         elif case == "phi_key_repeated":
             model["phi"].append(copy.deepcopy(model["phi"][0]))
+        # reals that float() would coerce: booleans, underscores, padding, JSON numbers
+        elif case == "alpha_bool":
+            model["alpha"] = [True] * len(model["alpha"])
+        elif case == "alpha_text":  # one character per table
+            model["alpha"] = "1" * len(model["alpha"])
+        elif case == "beta_underscore":
+            model["beta"][0][0] = "1_0.5"
+        elif case == "theta_padded":
+            model["theta"][0][0] = " " + model["theta"][0][0]
+        elif case == "phi_probs_number":
+            model["phi"][0]["probs"] = [float(p) for p in model["phi"][0]["probs"]]
         else:
             raise ValueError(case)
     return document
@@ -222,18 +236,32 @@ def two_class_models(k_star: int = 5):
     }
 
 
+def padded_family_counts(networks, i, j) -> dict:
+    """Joint counts of pair ``(i, j)``'s family over complete networks whose
+    actions are padded with the null action to the longest network's size:
+    ``((action i, action j), relation code)``, null code where no relation."""
+    k_star = max(net.size for net in networks)
+    joint = {}
+    for net in networks:
+        actions = net.actions + (NULL_ACTION,) * (k_star - net.size)
+        relation = net.relations.get((i, j))
+        key = ((actions[i], actions[j]), NULL_RELATION_CODE if relation is None else relation.value)
+        joint[key] = joint.get(key, 0) + 1
+    return joint
+
+
 def exhaustive_structure_oracle(instances, vocab_size) -> StructureMask:
     """Independent argmax over every mask, enumerated in bitmask order.
 
-    Total score of a mask is the sum of per-pair family scores (with parents
-    on linked pairs, marginal otherwise); ties keep the earlier bitmask.
+    Each pair's family is counted by :func:`padded_family_counts`.  Total
+    score of a mask is the sum of per-pair family scores (with parents on
+    linked pairs, marginal otherwise); ties keep the earlier bitmask.
     """
-    k_star = max(len(inst) for inst in instances)
     networks = [instance_to_network(inst) for inst in instances]
-    pairs = list(itertools.combinations(range(k_star), 2))
+    pairs = list(itertools.combinations(range(max(net.size for net in networks)), 2))
     scores = {}
     for pair in pairs:
-        counts = _family_counts(networks, pair[0], pair[1], vocab_size)
+        counts = BicFamilyCounts(joint=padded_family_counts(networks, *pair), vocab_size=vocab_size)
         scores[pair] = (
             bic_family_score(counts, False),
             bic_family_score(counts, True),

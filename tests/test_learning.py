@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,12 +16,12 @@ from ibgn import (
     FULL_SET,
     Instance,
     Interval,
-    NULL_ACTION,
     NULL_RELATION_CODE,
     SamplerState,
     StructureMask,
     TrainConfig,
     bic_family_score,
+    build_synthetic_corpus,
     collect_link_counts,
     digamma,
     estimate_phi,
@@ -30,16 +29,20 @@ from ibgn import (
     instance_to_network,
     learn_structure,
     run_gibbs,
+    save_bundle,
+    train_bundle,
     train_class_model,
     update_hyperparams,
 )
 from ibgn import learning
-from ibgn.errors import ConfigInvalid, DomainError, EmptyCorpus
+from ibgn.errors import ConfigInvalid, DomainError, EmptyCorpus, OrderViolation
 from ibgn.generate import _draw, count_seat, seat_next
 from conftest import (
     exhaustive_structure_oracle,
+    padded_family_counts,
     random_actions_instance,
     tiny_config,
+    two_class_models,
 )
 
 
@@ -770,19 +773,14 @@ class TestBic:
         assert NULL_RELATION_CODE == 7
 
     def test_constant_relation_without_parents(self):
-        counts = BicFamilyCounts(
-            joint={((1, 1), 0): 10}, marginal={0: 10}, dataset_size=10, vocab_size=2
-        )
+        counts = BicFamilyCounts(joint={((1, 1), 0): 10}, vocab_size=2)
         assert bic_family_score(counts, False) == pytest.approx(
             -math.log(10) / 2.0 * 7.0
         )
 
     def test_hand_computed_scores(self):
         joint = {((1, 2), 0): 3, ((1, 2), 2): 1, ((2, 1), 2): 4}
-        marginal = {0: 3, 2: 5}
-        counts = BicFamilyCounts(
-            joint=joint, marginal=marginal, dataset_size=8, vocab_size=2
-        )
+        counts = BicFamilyCounts(joint=joint, vocab_size=2)
         unit = math.log(8) / 2.0 * 7.0
         ll_joint = 3 * math.log(3 / 4) + 1 * math.log(1 / 4) + 4 * math.log(4 / 4)
         ll_marg = 3 * math.log(3 / 8) + 5 * math.log(5 / 8)
@@ -790,7 +788,7 @@ class TestBic:
         assert bic_family_score(counts, False) == pytest.approx(ll_marg - unit)
 
     def test_empty_dataset_rejected(self):
-        counts = BicFamilyCounts(joint={}, marginal={}, dataset_size=0, vocab_size=2)
+        counts = BicFamilyCounts(joint={}, vocab_size=2)
         with pytest.raises(EmptyCorpus):
             bic_family_score(counts, True)
 
@@ -849,32 +847,23 @@ class TestBic:
     def test_family_counts_read_nodes_past_the_end_as_null(self):
         """Oracle: pad every network's actions with the null action to k*
         and count (parents, relation code) over the padded networks."""
-
-        def padded_oracle(networks, i, j, vocab_size):
-            k_star = max(net.size for net in networks)
-            joint, marginal = Counter(), Counter()
-            for net in networks:
-                actions = net.actions + (NULL_ACTION,) * (k_star - net.size)
-                relation = net.relations.get((i, j))
-                code = NULL_RELATION_CODE if relation is None else relation.value
-                joint[((actions[i], actions[j]), code)] += 1
-                marginal[code] += 1
-            return BicFamilyCounts(
-                joint=dict(joint), marginal=dict(marginal),
-                dataset_size=len(networks), vocab_size=vocab_size,
-            )
-
         rng = np.random.default_rng(31)
-        for _ in range(6):
-            corpus = self._ragged_dependent_corpus(rng, int(rng.integers(150, 400)))
-            assert len(learn_structure(corpus, 2)) > 0
+        corpora = [self._ragged_dependent_corpus(rng, int(rng.integers(150, 400))) for _ in range(6)]
+        assert all(len(learn_structure(corpus, 2)) > 0 for corpus in corpora)
+        # tied integer endpoints give every relation, not only before and overlaps
+        corpora += [[random_actions_instance(rng, int(rng.integers(1, 6)), 2) for _ in range(80)] for _ in range(6)]
+        codes = set()
+        for corpus in corpora:
             networks = [instance_to_network(inst) for inst in corpus]
             k_star = max(net.size for net in networks)
             assert min(net.size for net in networks) < k_star
-            for i in range(k_star):
-                for j in range(i + 1, k_star):
-                    expected = padded_oracle(networks, i, j, 2)
-                    assert learning._family_counts(networks, i, j, 2) == expected
+            got = learning._family_counts(corpus, k_star)
+            assert list(got) == [(i, j) for i in range(k_star) for j in range(i + 1, k_star)]
+            for (i, j), joint in got.items():
+                expected = padded_family_counts(networks, i, j)
+                assert list(joint.items()) == list(expected.items())  # same counts, same first-occurrence order
+                codes.update(code for _parents, code in joint)
+        assert codes == set(range(NULL_RELATION_CODE + 1))
 
     def test_ragged_instances_padded(self):
         corpus = [make_instance((1, 0, 1)), make_instance((1, 0, 1), (2, 2, 3))]
@@ -884,6 +873,15 @@ class TestBic:
     def test_empty_rejected(self):
         with pytest.raises(EmptyCorpus):
             learn_structure([], 2)
+
+    def test_non_canonical_instance_rejected(self):
+        """Learned-mode training reads every pair of every instance, so an
+        instance out of canonical order cannot slip through."""
+        swapped = Instance(None, (Interval(1, 2.0, 3.0), Interval(1, 0.0, 1.0)))
+        with pytest.raises(OrderViolation):
+            learn_structure([swapped], 1)
+        with pytest.raises(OrderViolation):
+            train_class_model([swapped], ["x"], TrainConfig(structure="learned"), np.random.default_rng(0))
 
 
 class TestTrainClassModel:
@@ -944,3 +942,31 @@ class TestTrainClassModel:
                 tiny_config(),
                 np.random.default_rng(0),
             )
+
+
+class TestTrainBundle:
+    def test_jobs_capped_at_class_count(self, monkeypatch, tmp_path):
+        """A pool gets one worker per class at most; no real process starts."""
+        import concurrent.futures
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        corpus = build_synthetic_corpus(two_class_models(), 3, seed=1)
+        save_bundle(tmp_path / "pool.json", train_bundle(corpus, tiny_config(), [0], jobs=64))
+        save_bundle(tmp_path / "serial.json", train_bundle(corpus, tiny_config(), [0], jobs=1))
+        assert seen == [2]
+        assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
