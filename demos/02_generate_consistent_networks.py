@@ -14,13 +14,14 @@ import numpy as np
 
 from ibgn import (
     ClassModel,
-    ConstraintMatrix,
     FULL_SET,
     RelationSet,
     StructureMask,
     check_consistency,
+    compute_constraint,
     instance_to_network,
     realize_timestamps,
+    resolution_order,
     sample_network,
 )
 
@@ -57,11 +58,12 @@ def build_model(k_star: int = 5) -> ClassModel:
 
 def implied_constraints(network):
     """Constraint matrix the sampler worked under: singletons on links,
-    composed constraint sets everywhere else (nodes are 0-based)."""
-    x = ConstraintMatrix(
-        (pair, RelationSet.of(rel)) for pair, rel in network.relations.items()
-    )
-    x[(0, network.size - 1)]  # reading the widest pair fills every pair inside it
+    composed constraint sets everywhere else (nodes are 0-based).  Resolution
+    order computes every pair inside a pair's span before the pair itself."""
+    x = {}
+    for pair in resolution_order(0, network.size - 1):
+        relation = network.relations.get(pair)
+        x[pair] = compute_constraint(x, *pair) if relation is None else RelationSet.of(relation)
     return x
 
 

@@ -212,20 +212,19 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
-def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tuple[int, int]]) -> bool:
+def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tuple[int, int]], start: int) -> bool:
     """Depth-first placement of one interval per node; not a closure, so no cycle keeps frames alive."""
     n = len(chosen)
     if n == len(fixed):
         return True
-    for candidate in candidates:
-        if chosen and candidate < chosen[-1]:
-            continue  # would break canonical node order
+    for index in range(start, len(candidates)):  # canonical node order: no earlier candidate than the last
+        candidate = candidates[index]
         for p, relation in fixed[n]:
             if relation_of(chosen[p], candidate) != relation:
                 break
         else:
             chosen.append(candidate)
-            if _place(chosen, fixed, candidates):
+            if _place(chosen, fixed, candidates, index):
                 return True
             chosen.pop()
     return False
@@ -241,31 +240,31 @@ def _grid_interval(action: int, start: int, end: int) -> Interval:
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
     """Assign integer timestamps realizing a sampled network.
 
-    Every pair's constraint is computed first, and every fixed relation is
-    checked against its own, so an inconsistent network raises
-    :class:`~ibgn.errors.EmptyConstraint` before the search places
+    Every pair's constraint is computed once, in resolution order, and
+    every fixed relation is checked against its own, so an inconsistent network
+    raises :class:`~ibgn.errors.EmptyConstraint` before the search places
     intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
-    ``k`` intervals), checking only the fixed relations, which imply the
-    rest.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`.
+    ``k`` intervals), checking only the fixed relations, which imply the rest.
+    A network with no placement raises :class:`~ibgn.errors.Unrealizable`.
     """
     k = network.size
-    x = ConstraintMatrix((pair, RelationSet.of(r)) for pair, r in network.relations.items())
+    x: Dict[Tuple[int, int], RelationSet] = {}
     fixed: List[List[Tuple[int, BaseRelation]]] = [[] for _ in range(k)]
-    for n_prime, n in resolution_order(0, k - 1):
-        relation = network.relations.get((n_prime, n))
+    for pair in resolution_order(0, k - 1):
+        constraint = compute_constraint(x, *pair)  # raises if it empties
+        relation = network.relations.get(pair)
         if relation is None:
-            x[(n_prime, n)]  # composed on this first read; raises if it empties
+            x[pair] = constraint
+        elif relation in constraint:
+            fixed[pair[1]].append((pair[0], relation))  # nearest first: rejects soonest
+            x[pair] = RelationSet.of(relation)
         else:
-            constraint = compute_constraint(x, n_prime, n)  # raises if it empties
-            if relation not in constraint:
-                raise EmptyConstraint(
-                    f"relation {relation.symbol} of pair ({n_prime}, {n}) lies outside "
-                    f"its constraint {{{constraint.text()}}}"
-                )
-            fixed[n].append((n_prime, relation))  # nearest first: rejects soonest
+            raise EmptyConstraint(
+                f"relation {relation.symbol} of pair {pair} lies outside its constraint {{{constraint.text()}}}"
+            )
 
     chosen: List[Tuple[int, int]] = []
-    if not _place(chosen, fixed, list(combinations(range(2 * k + 1), 2))):
+    if not _place(chosen, fixed, list(combinations(range(2 * k + 1), 2)), 0):
         raise Unrealizable("no placement of the intervals satisfies every relation of the network")
     intervals = tuple(_grid_interval(network.actions[n], s, e) for n, (s, e) in enumerate(chosen))
     return Instance(label=label, intervals=intervals)

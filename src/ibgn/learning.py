@@ -30,6 +30,7 @@ comparison, which makes the per-link decision globally optimal.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -63,6 +64,10 @@ __all__ = [
 NULL_RELATION_CODE = 7  # relation variables take 7 real values plus null
 
 _STRUCTURE_MODES = ("learned", "chain", "full")
+_TYPED_FIELDS = (  # numpy scalars register as numbers.Integral / numbers.Real; bool is refused apart
+    (("iterations", "burn_in", "avg_window"), numbers.Integral, "an integer"),
+    (("rho", "alpha_init", "beta_init", "clamp_lo", "clamp_hi"), numbers.Real, "a real number"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,11 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        for names, kind, noun in _TYPED_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigInvalid(f"{name} must be {noun}, not {value!r}")
         if self.structure not in _STRUCTURE_MODES:
             raise ConfigInvalid(f"structure must be one of {_STRUCTURE_MODES}")
         if self.iterations < 1 or self.burn_in < 0 or self.avg_window < 1:
@@ -244,13 +254,13 @@ def run_gibbs(
     if not instances:
         raise EmptyCorpus("cannot run the sampler on an empty corpus")
     actions = [[iv.action - 1 for iv in inst.intervals] for inst in instances]
-    for inst_actions in actions:
+    for d, inst_actions in enumerate(actions):
+        if not inst_actions:  # every instance seats its first node at table 0
+            raise EmptyCorpus(f"instance {d} is empty")
         for a in inst_actions:
             if not 0 <= a < vocab_size:
                 raise ValueError(f"action id {a + 1} outside vocabulary of size {vocab_size}")
-    longest = max((len(a) for a in actions), default=0)
-    if longest == 0:
-        raise EmptyCorpus("every instance is empty")
+    longest = max(len(a) for a in actions)
     if ell is None:
         ell = longest
 

@@ -31,3 +31,11 @@ def test_package_reexports_exactly_the_union():
     assert sorted(set(union) - exported) == [], "in a module's __all__ but not re-exported"
     for n, name in union.items():
         assert getattr(ibgn, n) is getattr(importlib.import_module(f"ibgn.{name}"), n), n
+
+
+def test_no_name_is_listed_by_two_modules():
+    owners = {}
+    for name in MODULES:
+        for n in listed(name):
+            owners.setdefault(n, []).append(name)
+    assert {n: names for n, names in owners.items() if len(names) > 1} == {}, "a later wildcard import would shadow"

@@ -140,6 +140,28 @@ class TestTrainConfig:
         with pytest.raises(ConfigInvalid):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(iterations=10.5), "iterations"),
+            (dict(burn_in=2.0), "burn_in"),
+            (dict(avg_window=True), "avg_window"),
+            (dict(iterations="3000"), "iterations"),
+            (dict(rho="0.1"), "rho"),
+            (dict(alpha_init=True), "alpha_init"),
+            (dict(clamp_hi=None), "clamp_hi"),
+        ],
+    )
+    def test_wrong_field_type_names_the_field(self, kwargs, name):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be"):
+            TrainConfig(**kwargs)
+
+    def test_numpy_scalars_are_accepted(self):
+        config = TrainConfig(
+            iterations=np.int64(40), burn_in=np.int32(10), avg_window=np.int64(30), rho=np.float64(0.1)
+        )
+        assert config.iterations == 40 and config.rho == 0.1
+
 
 def gibbs_conditional(state, a, occupancy):
     """Seating distribution (normalized) for a node with action column ``a``:
@@ -701,6 +723,13 @@ class TestRunGibbs:
                 tiny_config(),
                 np.random.default_rng(0),
             )
+
+    def test_empty_instance_rejected_by_index_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        corpus = [make_instance((1, 0, 1), (2, 1, 3)), Instance(label="a", intervals=())]
+        with pytest.raises(EmptyCorpus, match="instance 1 is empty"):
+            run_gibbs(corpus, 2, TrainConfig(10, 2, 4), rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_unknown_action_rejected(self):
         inst = make_instance((9, 0, 1))

@@ -11,12 +11,14 @@ traced run; these tests catch both in the unit suite.
 from __future__ import annotations
 
 import importlib.util
+from math import comb
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ibgn import generate, learning
-from conftest import random_actions_instance, random_model, tiny_config
+from ibgn import IntervalNetwork, generate, instance_to_network, learning
+from conftest import random_actions_instance, random_instance, random_model, tiny_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,3 +76,33 @@ def test_tracer_counts_one_refit_step_per_update_call():
     refits = config.iterations - config.burn_in - config.avg_window
     assert refits == 10
     assert tracer.counts["probe"]["learning.update_hyperparams_calls"] == refits
+
+
+def _chain_of(network):
+    return IntervalNetwork(network.actions, {(i, j): r for (i, j), r in network.relations.items() if j == i + 1})
+
+
+# ``checks`` are the placements the lexicographic search tests on each network; they
+# pin the search's order, while the constraint work is one computation per pair
+@pytest.mark.parametrize(
+    "network, checks",
+    [
+        (_chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))), 248),
+        (instance_to_network(random_instance(np.random.default_rng(12), 7)), 192),
+        (IntervalNetwork((1,) * 12, {}), 0),
+    ],
+    ids=["chain-6", "full-7", "no-relations-12"],
+)
+def test_traced_realization_composes_each_pair_once(network, checks):
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        generate.realize_timestamps(network)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts["probe"]
+    k = network.size
+    assert counts["network.compute_constraint_calls"] == comb(k, 2)
+    assert counts["algebra.compose_sets_calls"] == comb(k, 3)
+    assert counts["generate.realize_checks"] == checks
