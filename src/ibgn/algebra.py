@@ -20,11 +20,13 @@ Composition answers: given the relation of (i, j) and of (j, k), which
 relations of (i, k) are realizable by actual timestamps?  The 7x7 table of
 answers below is frozen as bitmask constants; ``brute_force_compose``
 re-derives any cell from first principles by enumerating integer endpoint
-placements and is kept as the table's oracle.
+placements and is kept as the table's oracle.  Composition of relation sets
+is looked up in a 128 x 128 table of masks derived from it at import.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -67,8 +69,8 @@ class BaseRelation(IntEnum):
 
 _SYMBOLS = ("b", "m", "o", "s", "c", "f", "eq")
 _SYMBOL_TO_RELATION = {sym: BaseRelation(i) for i, sym in enumerate(_SYMBOLS)}
-# the set bits of every 7-bit mask, ascending
-_BIT_POSITIONS = tuple(tuple(i for i in range(7) if bits >> i & 1) for bits in range(0x80))
+# the members of every 7-bit mask, in canonical order
+_MEMBERS = tuple(tuple(rel for rel in BaseRelation if bits >> rel & 1) for bits in range(0x80))
 
 
 @dataclass(frozen=True)
@@ -77,20 +79,26 @@ class RelationSet:
 
     Bit ``i`` corresponds to the relation with canonical index ``i``, which
     makes the integer encoding itself canonical and serialization bit-exact.
+    The operators, ``of``, ``from_text`` and the compositions return the one
+    interned set per mask.
     """
 
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits <= 0x7F:
-            raise ValueError(f"relation bits out of range: {self.bits}")
+        if isinstance(self.bits, bool) or not hasattr(self.bits, "__index__"):
+            raise ValueError(f"relation bits must be an integer: {self.bits!r}")
+        bits = operator.index(self.bits)  # a numpy integer becomes an int
+        if not 0 <= bits <= 0x7F:
+            raise ValueError(f"relation bits out of range: {bits}")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def of(cls, *relations: BaseRelation) -> "RelationSet":
         bits = 0
         for rel in relations:
             bits |= 1 << BaseRelation(rel).value
-        return cls(bits)
+        return _SETS[bits]
 
     @classmethod
     def from_text(cls, text: str) -> "RelationSet":
@@ -104,7 +112,7 @@ class RelationSet:
             if token not in _SYMBOL_TO_RELATION:
                 raise ValueError(f"unknown relation symbol: {token!r}")
             bits |= 1 << _SYMBOL_TO_RELATION[token].value
-        return cls(bits)
+        return _SETS[bits]
 
     def text(self) -> str:
         """Comma-joined symbols in canonical order."""
@@ -112,7 +120,7 @@ class RelationSet:
 
     @property
     def members(self) -> Tuple[BaseRelation, ...]:
-        return tuple(iter(self))
+        return _MEMBERS[self.bits]
 
     def index_of(self, rel: BaseRelation) -> int:
         """Position of ``rel`` among the members in canonical order."""
@@ -124,7 +132,7 @@ class RelationSet:
         return bool(self.bits >> BaseRelation(rel).value & 1)
 
     def __iter__(self) -> Iterator[BaseRelation]:
-        return (BaseRelation(i) for i in _BIT_POSITIONS[self.bits])
+        return iter(_MEMBERS[self.bits])
 
     def __len__(self) -> int:
         return bin(self.bits).count("1")
@@ -133,17 +141,18 @@ class RelationSet:
         return self.bits != 0
 
     def __and__(self, other: "RelationSet") -> "RelationSet":
-        return RelationSet(self.bits & other.bits)
+        return _SETS[self.bits & other.bits]
 
     def __or__(self, other: "RelationSet") -> "RelationSet":
-        return RelationSet(self.bits | other.bits)
+        return _SETS[self.bits | other.bits]
 
     def __repr__(self) -> str:
         return f"RelationSet({{{self.text()}}})"
 
 
-FULL_SET = RelationSet(0x7F)
-EMPTY_SET = RelationSet(0)
+_SETS = tuple(RelationSet(bits) for bits in range(0x80))  # the interned set of each mask
+FULL_SET = _SETS[0x7F]
+EMPTY_SET = _SETS[0]
 
 
 def relation_of(first: Sequence[float], second: Sequence[float]) -> BaseRelation:
@@ -186,21 +195,35 @@ _COMPOSE_BITS = (
 )
 
 
+def _compose_set_bits() -> Tuple[Tuple[int, ...], ...]:
+    """Composition lifted to masks: entry ``[a][b]`` is the union of the cells
+    of every member pair, built from the entries without ``a``'s or ``b``'s
+    lowest member and the cell of those two members."""
+    table = [[0] * 0x80 for _ in range(0x80)]
+    for a in range(1, 0x80):
+        row, without_low = table[a], table[a & (a - 1)]
+        cells = _COMPOSE_BITS[(a & -a).bit_length() - 1]
+        for b in range(1, 0x80):
+            low = b & -b
+            row[b] = without_low[b] | row[b ^ low] | cells[low.bit_length() - 1]
+    return tuple(map(tuple, table))
+
+
+_COMPOSE_SET_BITS = _compose_set_bits()
+
+
 def compose(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
     """Composition of two base relations (frozen table lookup)."""
-    return RelationSet(_COMPOSE_BITS[BaseRelation(r1).value][BaseRelation(r2).value])
+    return _SETS[_COMPOSE_BITS[BaseRelation(r1).value][BaseRelation(r2).value]]
 
 
 def compose_sets(set1: RelationSet, set2: RelationSet) -> RelationSet:
-    """Composition lifted to sets: the union of member-pair compositions."""
-    if not set1 or not set2:
+    """Composition lifted to sets: the union of member-pair compositions,
+    looked up in the mask table built at import."""
+    a, b = set1.bits, set2.bits
+    if not a or not b:
         raise EmptyRelationSet("compose_sets requires non-empty operands")
-    bits = 0
-    for i in _BIT_POSITIONS[set1.bits]:
-        row = _COMPOSE_BITS[i]
-        for j in _BIT_POSITIONS[set2.bits]:
-            bits |= row[j]
-    return RelationSet(bits)
+    return _SETS[_COMPOSE_SET_BITS[a][b]]
 
 
 def intersect(set1: RelationSet, set2: RelationSet) -> RelationSet:
@@ -240,7 +263,7 @@ def brute_force_compose(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
     most six distinct endpoint values, so an integer grid of width 8 is
     exhaustive.
     """
-    return RelationSet(_brute_force_table()[BaseRelation(r1).value][BaseRelation(r2).value])
+    return _SETS[_brute_force_table()[BaseRelation(r1).value][BaseRelation(r2).value]]
 
 
 @dataclass(frozen=True)
@@ -285,7 +308,7 @@ def enumerate_composition_classes() -> Tuple[CompositionClass, ...]:
             if meet and meet not in distinct:
                 raise ClassCountMismatch("composition classes not closed under intersection")
     return tuple(
-        CompositionClass(index=i + 1, members=RelationSet(bits))
+        CompositionClass(index=i + 1, members=_SETS[bits])
         for i, bits in enumerate(ordered)
     )
 

@@ -50,7 +50,9 @@ class ClassModel:
     ``theta[z, i]`` is the probability that a node at table ``z`` performs
     the action with vocabulary id ``i + 1``; ``phi`` maps
     ``(action_i, action_j, constraint_bits)`` to a probability vector over
-    the constraint's members in canonical relation order.
+    the constraint's members in canonical relation order.  ``theta_rows``
+    and ``alpha_list`` are plain-list copies, made once, that the sampler
+    draws from.
     """
 
     k_star: int
@@ -72,6 +74,8 @@ class ClassModel:
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
         self.theta_mass = self.theta.sum(axis=0).tolist()  # per action: its total mass over the tables
+        self.theta_rows = self.theta.tolist()
+        self.alpha_list = self.alpha.tolist()
 
     @property
     def M(self) -> int:
@@ -130,6 +134,12 @@ def crp_table_distribution(occupancy: Sequence[float], alpha: np.ndarray) -> np.
     fresh-table mass is redistributed proportionally by renormalizing over the
     occupied tables.  The returned vector sums to 1.
     """
+    probs = np.asarray(_crp_weights(occupancy, alpha), dtype=float)
+    return probs / probs.sum()
+
+
+def _crp_weights(occupancy: Sequence[float], alpha: Sequence[float]) -> List[float]:
+    """The unnormalized weights of :func:`crp_table_distribution`."""
     budget = len(alpha)
     occupied = len(occupancy)
     if occupied > budget:
@@ -138,8 +148,7 @@ def crp_table_distribution(occupancy: Sequence[float], alpha: np.ndarray) -> np.
     weights = [occupancy[z] / (position + alpha[z] - 1.0) for z in range(occupied)]
     if occupied < budget:
         weights.append(alpha[occupied] / (position + alpha[occupied] - 1.0))
-    probs = np.asarray(weights, dtype=float)
-    return probs / probs.sum()
+    return weights
 
 
 def _draw(weights: Sequence[float], threshold: float) -> int:
@@ -168,9 +177,10 @@ def count_seat(occupancy: List[float], table: int) -> None:
         occupancy[table] += 1.0
 
 
-def seat_next(occupancy: List[float], alpha: np.ndarray, rng: np.random.Generator) -> int:
+def seat_next(occupancy: List[float], alpha: Sequence[float], rng: np.random.Generator) -> int:
     """Draw the next node's table from the seating prior and count it in ``occupancy``."""
-    table = _draw(crp_table_distribution(occupancy, alpha), rng.random())
+    weights = _crp_weights(occupancy, alpha)
+    table = _draw(weights, rng.random() * sum(weights))
     count_seat(occupancy, table)
     return table
 
@@ -188,10 +198,11 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         raise ValueError(f"cannot sample {k} nodes from a model with k_star {model.k_star}")
     occupancy: List[float] = []
     actions: List[int] = []
+    theta_rows, alpha = model.theta_rows, model.alpha_list
 
     def seat_through(last: int) -> None:
         while len(actions) <= last:
-            actions.append(_draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng.random()) + 1)
+            actions.append(_draw(theta_rows[seat_next(occupancy, alpha, rng)], rng.random()) + 1)
 
     x = ConstraintMatrix()
     relations = {}
@@ -204,7 +215,7 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         members = constraint.members
         probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
         if probs is None:
-            probs = np.full(len(members), 1.0 / len(members))
+            probs = [1.0 / len(members)] * len(members)
         relation = members[_draw(probs, rng.random())]
         x[pair] = RelationSet.of(relation)
         relations[pair] = relation
@@ -212,7 +223,7 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
-def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tuple[int, int]], start: int) -> bool:
+def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: Sequence[Tuple[int, int]], start: int) -> bool:
     """Depth-first placement of one interval per node; not a closure, so no cycle keeps frames alive."""
     n = len(chosen)
     if n == len(fixed):
@@ -228,6 +239,12 @@ def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: List[Tu
                 return True
             chosen.pop()
     return False
+
+
+@lru_cache(maxsize=64)
+def _grid_candidates(k: int) -> Tuple[Tuple[int, int], ...]:
+    """Every interval on the grid ``0 .. 2k``, in lexicographic order."""
+    return tuple(combinations(range(2 * k + 1), 2))
 
 
 @lru_cache(maxsize=1024)
@@ -264,7 +281,7 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
             )
 
     chosen: List[Tuple[int, int]] = []
-    if not _place(chosen, fixed, list(combinations(range(2 * k + 1), 2)), 0):
+    if not _place(chosen, fixed, _grid_candidates(k), 0):
         raise Unrealizable("no placement of the intervals satisfies every relation of the network")
     intervals = tuple(_grid_interval(network.actions[n], s, e) for n, (s, e) in enumerate(chosen))
     return Instance(label=label, intervals=intervals)

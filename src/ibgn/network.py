@@ -208,7 +208,7 @@ def compute_constraint(
     constraint = FULL_SET
     for mid in range(n_prime + 1, n):
         constraint = constraint & compose_sets(x[(n_prime, mid)], x[(mid, n)])
-        if not constraint:
+        if not constraint.bits:
             raise EmptyConstraint(f"constraint of pair ({n_prime}, {n}) is empty")
     return constraint
 

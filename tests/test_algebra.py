@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +126,19 @@ class TestRelationSet:
         with pytest.raises(ValueError):
             RelationSet(-1)
 
+    def test_bits_must_be_integers(self):
+        for bad in (True, False, 2.0, "3", np.True_, np.float64(1.0)):
+            with pytest.raises(ValueError):
+                RelationSet(bad)
+        rs = RelationSet(np.int64(5))
+        assert type(rs.bits) is int and rs == RelationSet.of(B, O)
+
+    def test_interned(self):
+        assert RelationSet.of(O) is RelationSet.of(O)
+        assert FULL_SET & FULL_SET is FULL_SET
+        assert RelationSet(3) | RelationSet(4) is RelationSet.of(B, M, O)
+        assert RelationSet.from_text("b,m") is RelationSet.of(B, M)
+
     def test_from_text_errors(self):
         with pytest.raises(ValueError):
             RelationSet.from_text("b,x")
@@ -166,6 +180,19 @@ class TestCompose:
             if bits_a >> r1.value & 1 and bits_b >> r2.value & 1:
                 expected = expected | compose(r1, r2)
         assert compose_sets(RelationSet(bits_a), RelationSet(bits_b)) == expected
+
+    def test_compose_sets_exhaustive_over_non_empty_operands(self):
+        for bits_a, bits_b in itertools.product(range(1, 0x80), repeat=2):
+            expected = 0
+            for r1, r2 in itertools.product(BaseRelation, repeat=2):
+                if bits_a >> r1 & 1 and bits_b >> r2 & 1:
+                    expected |= compose(r1, r2).bits
+            assert compose_sets(RelationSet(bits_a), RelationSet(bits_b)).bits == expected, (bits_a, bits_b)
+
+    def test_compose_sets_returns_interned_sets(self):
+        a, b = RelationSet.of(O, S), RelationSet.of(C, F)
+        assert compose_sets(a, b) is compose_sets(a, b)
+        assert compose_sets(FULL_SET, FULL_SET) is FULL_SET
 
     def test_compose_sets_rejects_empty_operand(self):
         with pytest.raises(EmptyRelationSet):

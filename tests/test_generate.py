@@ -24,6 +24,7 @@ from ibgn import (
     StructureMask,
     check_consistency,
     compute_constraint,
+    count_seat,
     crp_table_distribution,
     instance_to_network,
     realize_timestamps,
@@ -76,13 +77,21 @@ def reference_realize(network: IntervalNetwork, label=None) -> Instance:
     return Instance(label=label, intervals=intervals)
 
 
+def frozen_seat(occupancy, alpha, rng: np.random.Generator) -> int:
+    """Oracle for ``seat_next``: one uniform against the normalized seating
+    distribution, kept here so the oracle does not follow ``seat_next``."""
+    table = _draw(crp_table_distribution(occupancy, alpha), rng.random())
+    count_seat(occupancy, table)
+    return table
+
+
 def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
     """Oracle for ``sample_network``: the all-pairs walk in resolution order,
     seating node ``n`` at ``(n - 1, n)`` and drawing each pair the mask links."""
     occupancy = []
 
     def next_action():
-        return _draw(model.theta[seat_next(occupancy, model.alpha, rng)], rng.random()) + 1
+        return _draw(model.theta[frozen_seat(occupancy, model.alpha, rng)], rng.random()) + 1
 
     actions = [next_action()]
     x = ConstraintMatrix()
@@ -204,6 +213,21 @@ class TestSeatNext:
         occupancy = []
         assert seat_next(occupancy, np.ones(2), np.random.default_rng(0)) == 0
         assert occupancy == [1.0]
+
+    def test_matches_the_frozen_normalized_draw(self):
+        """Drawing at one uniform times the weights' sum seats every node where
+        the normalized draw does, and consumes the same uniforms."""
+        picks = np.random.default_rng(808)
+        fast, frozen = np.random.default_rng(809), np.random.default_rng(809)
+        for _ in range(20_000):
+            ell = int(picks.integers(1, 17))
+            alpha = np.exp(picks.uniform(math.log(0.05), math.log(50.0), ell))
+            occupied = int(picks.integers(0, ell + 1))
+            occupancy = picks.integers(1, 6, occupied).astype(float).tolist()
+            mine, theirs = list(occupancy), list(occupancy)
+            assert seat_next(mine, alpha.tolist(), fast) == frozen_seat(theirs, alpha, frozen)
+            assert mine == theirs
+        assert fast.bit_generator.state == frozen.bit_generator.state
 
 
 class TestSampleInstance:
