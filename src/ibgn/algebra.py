@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import ClassCountMismatch, DegenerateInterval, EmptyRelationSet, OrderViolation
+from .errors import DegenerateInterval, EmptyRelationSet, OrderViolation
 
 __all__ = [
     "BaseRelation",
@@ -44,7 +44,6 @@ __all__ = [
     "relation_of",
     "compose",
     "compose_sets",
-    "intersect",
     "brute_force_compose",
     "enumerate_composition_classes",
     "classify_constraint",
@@ -126,7 +125,7 @@ class RelationSet:
         """Position of ``rel`` among the members in canonical order."""
         if rel not in self:
             raise ValueError(f"{rel.symbol} not in {{{self.text()}}}")
-        return bin(self.bits & ((1 << rel.value) - 1)).count("1")
+        return (self.bits & ((1 << rel.value) - 1)).bit_count()
 
     def __contains__(self, rel: BaseRelation) -> bool:
         return bool(self.bits >> BaseRelation(rel).value & 1)
@@ -135,7 +134,7 @@ class RelationSet:
         return iter(_MEMBERS[self.bits])
 
     def __len__(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -226,11 +225,6 @@ def compose_sets(set1: RelationSet, set2: RelationSet) -> RelationSet:
     return _SETS[_COMPOSE_SET_BITS[a][b]]
 
 
-def intersect(set1: RelationSet, set2: RelationSet) -> RelationSet:
-    """Set intersection; may legitimately be empty."""
-    return set1 & set2
-
-
 _ORACLE_WINDOW = 8  # three intervals need at most 6 distinct endpoint values
 
 
@@ -278,46 +272,24 @@ class CompositionClass:
         return len(self.members)
 
 
-@lru_cache(maxsize=1)
+# The closure of the 49 pairwise compositions, plus the full set: the 7
+# singletons (indices 1..7 in canonical relation order), then the 4 composites
+# (indices 8..11, by cardinality then bitmask), the last of which is the full
+# set.  The tests check the count, the order and closure under intersection.
+_CLASSES = tuple(
+    CompositionClass(index=i + 1, members=_SETS[bits])
+    for i, bits in enumerate(sorted({FULL_SET.bits}.union(*_COMPOSE_BITS), key=lambda b: (b.bit_count(), b)))
+)
+_CLASS_INDEX = {cls.members.bits: cls.index for cls in _CLASSES}
+
+
 def enumerate_composition_classes() -> Tuple[CompositionClass, ...]:
-    """The closure of the 49 pairwise compositions, plus the full set.
-
-    Exactly 11 distinct sets arise: the 7 singletons (indices 1..7 in
-    canonical relation order) and 4 composites (indices 8..11, ordered by
-    cardinality then bitmask), the last of which is the full set.  The family
-    is closed under non-empty intersection.
-    """
-    distinct = {FULL_SET.bits}
-    for r1 in BaseRelation:
-        for r2 in BaseRelation:
-            distinct.add(compose(r1, r2).bits)
-    if len(distinct) != 11:
-        raise ClassCountMismatch(f"expected 11 composition classes, found {len(distinct)}")
-
-    singles = sorted(b for b in distinct if bin(b).count("1") == 1)
-    multis = sorted(
-        (b for b in distinct if bin(b).count("1") > 1),
-        key=lambda b: (bin(b).count("1"), b),
-    )
-    ordered = singles + multis
-    if len(singles) != 7 or ordered[-1] != FULL_SET.bits:
-        raise ClassCountMismatch("composition classes lack the 7 singletons or the full set")
-    for b1 in distinct:
-        for b2 in distinct:
-            meet = b1 & b2
-            if meet and meet not in distinct:
-                raise ClassCountMismatch("composition classes not closed under intersection")
-    return tuple(
-        CompositionClass(index=i + 1, members=_SETS[bits])
-        for i, bits in enumerate(ordered)
-    )
+    """The 11 composition classes, built once at import."""
+    return _CLASSES
 
 
 def classify_constraint(constraint: RelationSet) -> Optional[int]:
     """Class index (1..11) of a constraint set, or None if it is not a class."""
     if not constraint:
         raise EmptyRelationSet("cannot classify an empty constraint")
-    for cls in enumerate_composition_classes():
-        if cls.members.bits == constraint.bits:
-            return cls.index
-    return None
+    return _CLASS_INDEX.get(constraint.bits)

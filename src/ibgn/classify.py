@@ -53,11 +53,8 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
         score += _log(model.theta_mass[mid - 1]) if mid is not None else math.log(EPS)
 
     for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
-        vec = model.phi.get((ids[n_prime], ids[n], constraint.bits))  # None for an unknown action
-        if vec is None:
-            score += math.log(1.0 / len(constraint))
-        else:
-            score += _log(float(vec[constraint.index_of(relation)]))
+        probs = model.relation_probs(ids[n_prime], ids[n], constraint)
+        score += _log(float(probs[constraint.index_of(relation)]))
     return score
 
 

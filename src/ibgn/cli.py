@@ -120,9 +120,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     confusion = {true: {pred: 0 for pred in classes} for true in classes}
     fold_accuracies: List[float] = []
     for fold, (train_part, test_part) in enumerate(splits):
-        bundle = train_bundle(train_part, config, [args.seed, fold], args.jobs)
         if args.perturb:
             test_part = _perturb_corpus(test_part, args.perturb, args.rate, [args.seed, 101, fold])
+        bundle = train_bundle(train_part, config, [args.seed, fold], args.jobs)
         hits = 0
         for _index, instance, result in _prediction_rows(bundle, test_part):
             confusion[instance.label][result.label] += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 

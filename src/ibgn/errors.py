@@ -24,10 +24,6 @@ class EmptyRelationSet(IbgnError, ValueError):
     """A relation-set operand that must be non-empty is empty."""
 
 
-class ClassCountMismatch(IbgnError, RuntimeError):
-    """The composition-closure enumeration did not produce the 11 classes."""
-
-
 class EmptyConstraint(IbgnError, RuntimeError):
     """A derived interval-relation constraint came out empty."""
 

@@ -85,6 +85,14 @@ class ClassModel:
         """Vocabulary id (1..M) of an action name, or None if unknown."""
         return self._action_ids.get(name)
 
+    def relation_probs(self, i: Optional[int], j: Optional[int], constraint: RelationSet) -> Sequence[float]:
+        """The phi vector of actions ``i``, ``j`` under ``constraint``, or the uniform
+        one over its members when the key was never trained or an action is unknown (None)."""
+        probs = self.phi.get((i, j, constraint.bits))
+        if probs is None:
+            return [1.0 / len(constraint)] * len(constraint)
+        return probs
+
     def validate(self) -> None:
         if self.k_star < 1 or self.ell != self.k_star:
             raise ValueError(f"table budget {self.ell} must equal k_star {self.k_star} >= 1")
@@ -212,11 +220,8 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
             break
         seat_through(n)
         constraint = compute_constraint(x, n_prime, n)
-        members = constraint.members
-        probs = model.phi.get((actions[n_prime], actions[n], constraint.bits))
-        if probs is None:
-            probs = [1.0 / len(members)] * len(members)
-        relation = members[_draw(probs, rng.random())]
+        probs = model.relation_probs(actions[n_prime], actions[n], constraint)
+        relation = constraint.members[_draw(probs, rng.random())]
         x[pair] = RelationSet.of(relation)
         relations[pair] = relation
     seat_through(k - 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .algebra import BaseRelation, FULL_SET, RelationSet, compose_sets, relation_of
+from .algebra import BaseRelation, FULL_SET, RelationSet, compose, compose_sets, relation_of
 from .errors import EmptyConstraint
 
 __all__ = [
@@ -181,8 +181,7 @@ def check_consistency(network: IntervalNetwork) -> ConsistencyReport:
                 r_ik = rel.get((i, k))
                 if r_jk is None or r_ik is None:
                     continue
-                allowed = compose_sets(RelationSet.of(r_ij), RelationSet.of(r_jk))
-                if r_ik not in allowed:
+                if r_ik not in compose(r_ij, r_jk):
                     violations.append((i, j, k))
     return ConsistencyReport(consistent=not violations, violations=tuple(violations))
 

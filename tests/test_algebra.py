@@ -19,15 +19,9 @@ from ibgn import (
     compose,
     compose_sets,
     enumerate_composition_classes,
-    intersect,
     relation_of,
 )
-from ibgn.errors import (
-    ClassCountMismatch,
-    DegenerateInterval,
-    EmptyRelationSet,
-    OrderViolation,
-)
+from ibgn.errors import DegenerateInterval, EmptyRelationSet, OrderViolation
 
 B, M, O, S, C, F, EQ = BaseRelation
 
@@ -208,8 +202,8 @@ class TestCompose:
             )
 
     def test_intersect(self):
-        assert intersect(RelationSet.of(B, M), RelationSet.of(M, O)) == RelationSet.of(M)
-        assert intersect(RelationSet.of(B), RelationSet.of(O)) == EMPTY_SET
+        assert RelationSet.of(B, M) & RelationSet.of(M, O) == RelationSet.of(M)
+        assert RelationSet.of(B) & RelationSet.of(O) == EMPTY_SET
 
 
 class TestCompositionClasses:
@@ -217,6 +211,10 @@ class TestCompositionClasses:
         classes = enumerate_composition_classes()
         assert len(classes) == 11
         assert [c.index for c in classes] == list(range(1, 12))
+        assert [c.members.text() for c in classes] == [
+            "b", "m", "o", "s", "c", "f", "eq",
+            "b,m,o", "o,c,f", "b,m,o,c,f", "b,m,o,s,c,f,eq",
+        ]
 
     def test_cardinalities(self):
         cards = sorted(c.cardinality for c in enumerate_composition_classes())

@@ -15,6 +15,7 @@ from ibgn import (
     ModelBundle, StructureMask, TrainConfig, load_bundle, load_instances, save_bundle,
     save_instances,
 )
+from ibgn import cli
 from ibgn.cli import _config_from_args, build_parser, main
 from ibgn.dataset import build_synthetic_corpus
 from conftest import (
@@ -288,6 +289,21 @@ class TestEval:
     def test_too_many_folds_fails_cleanly(self, corpus_path, tmp_path, capsys):
         code = main(
             ["eval", "--input", str(corpus_path), "--folds", "20", *TRAIN_FLAGS]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, rate", [("labels", "2"), ("durations", "-0.5"), ("durations", "nan")]
+    )
+    def test_bad_rate_fails_before_training(self, corpus_path, monkeypatch, capsys, kind, rate):
+        def no_training(*args, **kwargs):
+            raise AssertionError("eval trained a fold before checking --rate")
+
+        monkeypatch.setattr(cli, "train_bundle", no_training)
+        code = main(
+            ["eval", "--input", str(corpus_path), "--folds", "2",
+             "--perturb", kind, "--rate", rate, *TRAIN_FLAGS]
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err

@@ -267,9 +267,12 @@ class TestPerturbDurations:
             ]
 
     def test_outputs_remain_valid_and_canonical(self):
-        corpus = self._corpus()
-        out = perturb_durations(corpus, 0.6, seed=4)
-        for inst in out.instances:
+        # the subnormal interval: at rate 1 the jitter often lands both
+        # endpoints on one value, and the repair must widen it again
+        tiny = Corpus([Instance("a", (Interval(1, 0.0, 5e-324),))], ["x"], ["a"])
+        outs = [perturb_durations(self._corpus(), 0.6, seed=4)]
+        outs += [perturb_durations(tiny, 1.0, seed=seed) for seed in range(50)]
+        for inst in (inst for out in outs for inst in out.instances):
             assert inst.is_canonical()
             for iv in inst.intervals:
                 assert iv.start < iv.end

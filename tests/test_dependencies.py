@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency beyond the standard library."""
+"""numpy is the package's only runtime dependency beyond the standard library,
+and every module reads what it imports."""
 
 from __future__ import annotations
 
@@ -32,3 +33,33 @@ def test_walk_reaches_imports_inside_functions():
 def test_imports_only_stdlib_and_numpy(path):
     outside = [f"{path.name}:{line} imports {name}" for line, name in absolute_imports(path) if name not in ALLOWED]
     assert not outside, outside
+
+
+def unused_imports(path: Path):
+    """Names ``path`` imports but neither reads nor lists in ``__all__``;
+    ``__future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} imports {name}" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_every_import_is_read(path):
+    unused = unused_imports(path)
+    assert not unused, unused
