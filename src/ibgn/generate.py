@@ -14,7 +14,8 @@ A class model couples three ingredients:
 Sampling walks the mask's links in resolution order, seats node ``n`` before
 the first link that ends at it and draws each link inside the constraint its
 :class:`~ibgn.network.ConstraintMatrix` allows.  ``realize_timestamps`` turns
-a network into integer timestamps by constructive search, and
+a network into integer timestamps by a depth-first search that places each
+node only inside the box of grid points its fixed relations leave it, and
 ``sample_instance`` runs the size -> network -> timestamps loop.
 """
 
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import BaseRelation, RelationSet, relation_of
+from .algebra import RelationSet, relation_of
 from .errors import EmptyConstraint, Unrealizable
 from .network import ConstraintMatrix, Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
@@ -228,28 +229,62 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
     return IntervalNetwork(actions=tuple(actions), relations=relations)
 
 
-def _place(chosen: List[Tuple[int, int]], fixed: List[list], candidates: Sequence[Tuple[int, int]], start: int) -> bool:
-    """Depth-first placement of one interval per node; not a closure, so no cycle keeps frames alive."""
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+# The signs of (s - s_p, s - e_p, e - e_p) that each relation fixes between a placed
+# interval (s_p, e_p) and a later (s, e), read off relation_of against (2, 6).
+_SIGNS = {
+    relation_of((2, 6), (s, e)): (_sign(s - 2), _sign(s - 6), _sign(e - 6))
+    for s, e in combinations(range(12), 2)
+    if (s, e) >= (2, 6)
+}
+
+
+def _place(chosen: List[Tuple[int, int]], fixed: List[list]) -> bool:
+    """Depth-first placement of one interval per node on the grid ``0 .. 2k``;
+    not a closure, so no cycle keeps frames alive.
+
+    Node ``n``'s fixed relations bound its start to ``s_lo .. s_hi`` and its
+    end to ``e_lo .. e_hi``, and the walk visits that box in lexicographic
+    order from the previous placement (canonical node order), so it tries
+    exactly the grid points a scan checking every fixed relation accepts."""
     n = len(chosen)
     if n == len(fixed):
         return True
-    for index in range(start, len(candidates)):  # canonical node order: no earlier candidate than the last
-        candidate = candidates[index]
-        for p, relation in fixed[n]:
-            if relation_of(chosen[p], candidate) != relation:
-                break
-        else:
-            chosen.append(candidate)
-            if _place(chosen, fixed, candidates, index):
+    last_s, last_e = chosen[-1] if chosen else (0, 1)
+    top = 2 * len(fixed)
+    s_lo, s_hi, e_lo, e_hi = last_s, top - 1, 0, top
+    for p, start_sign, cross_sign, end_sign in fixed[n]:
+        start, end = chosen[p]
+        # a sign of x - at puts x at or past at + sign when >= 0, at or before it when <= 0
+        bound = start + start_sign
+        if start_sign >= 0 and bound > s_lo:
+            s_lo = bound
+        if start_sign <= 0 and bound < s_hi:
+            s_hi = bound
+        bound = end + cross_sign
+        if cross_sign >= 0 and bound > s_lo:
+            s_lo = bound
+        if cross_sign <= 0 and bound < s_hi:
+            s_hi = bound
+        bound = end + end_sign
+        if end_sign >= 0 and bound > e_lo:
+            e_lo = bound
+        if end_sign <= 0 and bound < e_hi:
+            e_hi = bound
+    for s in range(s_lo, s_hi + 1):
+        e = last_e if s == last_s else s + 1
+        if e < e_lo:
+            e = e_lo
+        while e <= e_hi:
+            chosen.append((s, e))
+            if _place(chosen, fixed):
                 return True
             chosen.pop()
+            e += 1
     return False
-
-
-@lru_cache(maxsize=64)
-def _grid_candidates(k: int) -> Tuple[Tuple[int, int], ...]:
-    """Every interval on the grid ``0 .. 2k``, in lexicographic order."""
-    return tuple(combinations(range(2 * k + 1), 2))
 
 
 @lru_cache(maxsize=1024)
@@ -266,27 +301,35 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
     every fixed relation is checked against its own, so an inconsistent network
     raises :class:`~ibgn.errors.EmptyConstraint` before the search places
     intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
-    ``k`` intervals), checking only the fixed relations, which imply the rest.
-    A network with no placement raises :class:`~ibgn.errors.Unrealizable`.
+    ``k`` intervals).  The fixed relations imply the rest, and each one fixes
+    the signs of ``s - s_p``, ``s - e_p`` and ``e - e_p`` against its placed
+    predecessor ``p``, so the search visits only the grid box they leave each
+    node.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`;
+    a relation on a pair outside ``0 <= i < j < k`` raises ``ValueError``.
     """
     k = network.size
     x: Dict[Tuple[int, int], RelationSet] = {}
-    fixed: List[List[Tuple[int, BaseRelation]]] = [[] for _ in range(k)]
+    fixed: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(k)]
+    matched = 0
     for pair in resolution_order(0, k - 1):
         constraint = compute_constraint(x, *pair)  # raises if it empties
         relation = network.relations.get(pair)
         if relation is None:
             x[pair] = constraint
         elif relation in constraint:
-            fixed[pair[1]].append((pair[0], relation))  # nearest first: rejects soonest
+            fixed[pair[1]].append((pair[0], *_SIGNS[relation]))
+            matched += 1
             x[pair] = RelationSet.of(relation)
         else:
             raise EmptyConstraint(
                 f"relation {relation.symbol} of pair {pair} lies outside its constraint {{{constraint.text()}}}"
             )
+    if matched != len(network.relations):
+        stray = next(pair for pair in network.relations if pair not in x)
+        raise ValueError(f"relation on node pair {stray} outside the pairs of a {k}-node network")
 
     chosen: List[Tuple[int, int]] = []
-    if not _place(chosen, fixed, _grid_candidates(k), 0):
+    if not _place(chosen, fixed):
         raise Unrealizable("no placement of the intervals satisfies every relation of the network")
     intervals = tuple(_grid_interval(network.actions[n], s, e) for n, (s, e) in enumerate(chosen))
     return Instance(label=label, intervals=intervals)

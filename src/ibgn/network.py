@@ -18,7 +18,7 @@ ascending, earlier node descending), which lists a span's inner pairs first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebra import BaseRelation, FULL_SET, RelationSet, compose, compose_sets, relation_of
@@ -140,7 +140,9 @@ class StructureMask:
 
     @cached_property
     def ordered_links(self) -> Tuple[Tuple[int, int], ...]:
-        """The links in :func:`resolution_order`, computed once per mask."""
+        """The links in :func:`resolution_order`, computed once per mask; the
+        pair tuples are the order's own, so every mask, and every network
+        keyed by its links, shares them."""
         last = max((j for _, j in self.links), default=0)
         return tuple(pair for pair in resolution_order(0, last) if pair in self.links)
 
@@ -212,12 +214,12 @@ def compute_constraint(
     return constraint
 
 
-def resolution_order(first: int, last: int) -> Iterator[Tuple[int, int]]:
+@lru_cache(maxsize=1024)
+def resolution_order(first: int, last: int) -> Tuple[Tuple[int, int], ...]:
     """Node pairs ``(n', n)`` with ``first <= n' < n <= last``, ``n`` ascending
-    and ``n'`` descending: every pair inside a pair's span comes before it."""
-    for n in range(first + 1, last + 1):
-        for n_prime in range(n - 1, first - 1, -1):
-            yield n_prime, n
+    and ``n'`` descending: every pair inside a pair's span comes before it.
+    Built once per span, so every caller shares its pair tuples."""
+    return tuple((n_prime, n) for n in range(first + 1, last + 1) for n_prime in range(n - 1, first - 1, -1))
 
 
 class ConstraintMatrix(dict):

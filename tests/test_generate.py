@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -77,6 +78,45 @@ def reference_realize(network: IntervalNetwork, label=None) -> Instance:
     return Instance(label=label, intervals=intervals)
 
 
+def scan_place(chosen, fixed, candidates, start, accepted) -> bool:
+    """Oracle for ``generate._place``: the depth-first scan of every grid
+    candidate from the previous placement on, checking each of node ``n``'s
+    fixed relations ``(p, relation)`` by ``relation_of``; every placement it
+    accepts is appended to ``accepted``."""
+    n = len(chosen)
+    if n == len(fixed):
+        return True
+    for index in range(start, len(candidates)):
+        candidate = candidates[index]
+        if all(relation_of(chosen[p], candidate) == relation for p, relation in fixed[n]):
+            chosen.append(candidate)
+            accepted.append(candidate)
+            if scan_place(chosen, fixed, candidates, index, accepted):
+                return True
+            chosen.pop()
+    return False
+
+
+def traced_search(monkeypatch, network):
+    """``realize_timestamps(network)`` (or ``Unrealizable``) and the placements
+    its search accepted, in order, recorded on every recursive ``_place`` call."""
+    place, accepted = generate._place, []
+
+    def recording(chosen, fixed):
+        if chosen:
+            accepted.append(chosen[-1])
+        return place(chosen, fixed)
+
+    monkeypatch.setattr(generate, "_place", recording)
+    try:
+        result = realize_timestamps(network)
+    except Unrealizable:
+        result = Unrealizable
+    finally:
+        monkeypatch.setattr(generate, "_place", place)
+    return result, accepted
+
+
 def frozen_seat(occupancy, alpha, rng: np.random.Generator) -> int:
     """Oracle for ``seat_next``: one uniform against the normalized seating
     distribution, kept here so the oracle does not follow ``seat_next``."""
@@ -110,6 +150,14 @@ def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator
             x[pair] = RelationSet.of(relation)
             relations[pair] = relation
     return IntervalNetwork(actions=tuple(actions), relations=relations)
+
+
+# every fixed relation lies inside its constraint, but no placement exists
+_o, _f, _m, _c = BaseRelation.OVERLAPS, BaseRelation.FINISHED_BY, BaseRelation.MEETS, BaseRelation.CONTAINS
+UNREALIZABLE = IntervalNetwork(
+    actions=(1,) * 6,
+    relations={(1, 2): _o, (0, 2): _f, (1, 3): _m, (2, 4): _c, (1, 4): _m, (1, 5): _m, (0, 5): _m},
+)
 
 
 def oracle_networks(count_per_kind: int = 80):
@@ -371,25 +419,84 @@ class TestRealizeTimestamps:
             reference_realize(contradicted)
         meets = {(n, n + 1): BaseRelation.MEETS for n in range(7)}
         meets_chain = IntervalNetwork(actions=(1,) * 8, relations={**meets, (0, 7): eq})
-        checks = []
-        monkeypatch.setattr(generate, "relation_of", lambda *pair: checks.append(pair))
+        searches = []
+        monkeypatch.setattr(generate, "_place", lambda *arguments: searches.append(arguments))
         for net in (emptied, contradicted, meets_chain):
             with pytest.raises(EmptyConstraint):
                 realize_timestamps(net)
-        assert checks == []  # no interval was placed
+        assert searches == []  # no search started
+
+    def test_box_admits_exactly_the_placements_of_its_relation(self, monkeypatch):
+        """For a placed interval p on the grid 0 .. 10 and each relation r, the
+        search offers the next node exactly the (s, e) >=lex p with
+        relation_of(p, (s, e)) == r, in lexicographic order."""
+        place, offered = generate._place, []
+
+        def offer(chosen, fixed):
+            offered.append(chosen[-1])
+            return False
+
+        monkeypatch.setattr(generate, "_place", offer)
+        grid = list(combinations(range(11), 2))
+        for placed in grid:
+            for relation in BaseRelation:
+                offered.clear()
+                fixed = [[], [(0, *generate._SIGNS[relation])], [], [], []]  # five nodes: grid 0 .. 10
+                assert place([placed], fixed) is False
+                want = [iv for iv in grid if iv >= placed and relation_of(placed, iv) is relation]
+                assert offered == want, (placed, relation)
+
+    def test_search_matches_scan_oracle(self, monkeypatch):
+        """The bounded search returns the scan's placement (or fails like it) after
+        accepting the same placements in the same order, on oracle networks, on
+        W3-style chain and full models with k = 8 and 12, and on an unrealizable network."""
+        def w3_networks():
+            rng = np.random.default_rng(1818)
+            for index, (structure, k) in enumerate((("chain", 8), ("full", 8), ("chain", 12), ("full", 12))):
+                model = random_model(np.random.default_rng([1818, index]), vocab_size=4, k_star=k)
+                mask = StructureMask.chain(k) if structure == "chain" else StructureMask.full(k)
+                for _ in range(8):
+                    yield sample_network(dataclasses.replace(model, structure=mask), k, rng)
+
+        outcomes = Counter()
+        for net in [*oracle_networks(), *w3_networks(), UNREALIZABLE]:
+            try:
+                result, accepted = traced_search(monkeypatch, net)
+            except EmptyConstraint:
+                outcomes["empty constraint"] += 1
+                continue
+            k = net.size
+            fixed = [[] for _ in range(k)]
+            for (p, n), relation in net.relations.items():
+                fixed[n].append((p, relation))
+            chosen, scanned = [], []
+            if scan_place(chosen, fixed, list(combinations(range(2 * k + 1), 2)), 0, scanned):
+                assert result.intervals == tuple(
+                    Interval(net.actions[n], float(s), float(e)) for n, (s, e) in enumerate(chosen)
+                )
+                outcomes["realized"] += 1
+            else:
+                assert result is Unrealizable
+                outcomes["unrealizable"] += 1
+            assert accepted == scanned
+        assert outcomes["realized"] >= 200 and outcomes["unrealizable"] >= 1
+
+    def test_relation_outside_the_node_pairs_raises(self):
+        b, m = BaseRelation.BEFORE, BaseRelation.MEETS
+        for relations, stray in (
+            ({(0, 5): b, (1, 0): m}, (0, 5)),
+            ({(1, 0): m}, (1, 0)),
+            ({(0, 1): m, (1, 1): b}, (1, 1)),
+            ({(-1, 1): b}, (-1, 1)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(str(stray))):
+                realize_timestamps(IntervalNetwork((1, 1), relations))
 
     def test_unrealizable_network_fails_like_oracle(self):
-        o, f, m, c = (BaseRelation.OVERLAPS, BaseRelation.FINISHED_BY, BaseRelation.MEETS,
-                      BaseRelation.CONTAINS)
-        # every fixed relation lies inside its constraint, but no placement exists
-        net = IntervalNetwork(
-            actions=(1,) * 6,
-            relations={(1, 2): o, (0, 2): f, (1, 3): m, (2, 4): c, (1, 4): m, (1, 5): m, (0, 5): m},
-        )
         with pytest.raises(RuntimeError):
-            reference_realize(net)
+            reference_realize(UNREALIZABLE)
         with pytest.raises(Unrealizable):
-            realize_timestamps(net)
+            realize_timestamps(UNREALIZABLE)
 
     def test_leaves_no_reference_cycles(self):
         model = random_model(np.random.default_rng(14), vocab_size=3, k_star=6)

@@ -165,6 +165,15 @@ class TestStructureMask:
         assert StructureMask.full(5).ordered_links == tuple(resolution_order(0, 4))
         assert StructureMask.of([]).ordered_links == ()
 
+    def test_masks_share_the_pair_tuples_of_the_order(self):
+        """Networks are keyed by their mask's links, so masks loaded apart must not
+        each hold their own copies of the pairs."""
+        chain, full = StructureMask.chain(6), StructureMask.full(6)
+        order = resolution_order(0, 5)
+        assert resolution_order(0, 5) is order
+        for mask in (chain, full, StructureMask.chain(6)):
+            assert all(any(pair is shared for shared in order) for pair in mask.ordered_links)
+
     def test_cached_links_leave_equality_hashing_and_pickling_alone(self):
         mask = StructureMask.chain(4)
         mask.ordered_links

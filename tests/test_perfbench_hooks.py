@@ -82,18 +82,19 @@ def _chain_of(network):
     return IntervalNetwork(network.actions, {(i, j): r for (i, j), r in network.relations.items() if j == i + 1})
 
 
-# ``checks`` are the placements the lexicographic search tests on each network; they
-# pin the search's order, while the constraint work is one computation per pair
+# the constraint work is one computation per pair; the search reads each fixed relation's
+# signs from a table built at import, so it makes no relation_of call (``realize_checks``),
+# and ``test_generate.py`` pins the order in which it tries placements
 @pytest.mark.parametrize(
-    "network, checks",
+    "network",
     [
-        (_chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))), 248),
-        (instance_to_network(random_instance(np.random.default_rng(12), 7)), 192),
-        (IntervalNetwork((1,) * 12, {}), 0),
+        _chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))),
+        instance_to_network(random_instance(np.random.default_rng(12), 7)),
+        IntervalNetwork((1,) * 12, {}),
     ],
     ids=["chain-6", "full-7", "no-relations-12"],
 )
-def test_traced_realization_composes_each_pair_once(network, checks):
+def test_traced_realization_composes_each_pair_once(network):
     tracer = load_tracing().Tracer()
     tracer.run_id = "probe"
     try:
@@ -105,4 +106,4 @@ def test_traced_realization_composes_each_pair_once(network, checks):
     k = network.size
     assert counts["network.compute_constraint_calls"] == comb(k, 2)
     assert counts["algebra.compose_sets_calls"] == comb(k, 3)
-    assert counts["generate.realize_checks"] == checks
+    assert counts["generate.realize_checks"] == 0
