@@ -11,12 +11,12 @@ A class model couples three ingredients:
   keyed by the two actions and by the interval-relation constraint active for
   that pair, so a sampled relation can never contradict what is already fixed.
 
-Sampling walks the mask's links in resolution order, seats node ``n`` before
-the first link that ends at it and draws each link inside the constraint its
-:class:`~ibgn.network.ConstraintMatrix` allows.  ``realize_timestamps`` turns
-a network into integer timestamps by a depth-first search that places each
-node only inside the box of grid points its fixed relations leave it, and
-``sample_instance`` runs the size -> network -> timestamps loop.
+Sampling walks the mask's :attr:`~ibgn.network.StructureMask.plan`: it seats
+node ``n`` before the first link that ends at it, composes the pairs listed for
+that link and draws the link inside the constraint they allow.
+``realize_timestamps`` places each node by a depth-first search over the box of
+grid points its fixed relations leave it, and ``sample_instance`` runs the
+size -> network -> timestamps loop.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import RelationSet, relation_of
 from .errors import EmptyConstraint, Unrealizable
-from .network import ConstraintMatrix, Instance, Interval, IntervalNetwork, StructureMask
+from .network import Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
 
 __all__ = [
@@ -213,13 +213,15 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         while len(actions) <= last:
             actions.append(_draw(theta_rows[seat_next(occupancy, alpha, rng)], rng.random()) + 1)
 
-    x = ConstraintMatrix()
+    x: Dict[Tuple[int, int], RelationSet] = {}
     relations = {}
-    for pair in model.structure.ordered_links:
+    for pair, inner in model.structure.plan:
         n_prime, n = pair
         if n >= k:
             break
         seat_through(n)
+        for listed in inner:
+            x[listed] = compute_constraint(x, *listed)
         constraint = compute_constraint(x, n_prime, n)
         probs = model.relation_probs(actions[n_prime], actions[n], constraint)
         relation = constraint.members[_draw(probs, rng.random())]
@@ -301,7 +303,8 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
     every fixed relation is checked against its own, so an inconsistent network
     raises :class:`~ibgn.errors.EmptyConstraint` before the search places
     intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
-    ``k`` intervals).  The fixed relations imply the rest, and each one fixes
+    ``k`` intervals); with no relation fixed, every entry is the full set and
+    none is computed.  The fixed relations imply the rest, and each one fixes
     the signs of ``s - s_p``, ``s - e_p`` and ``e - e_p`` against its placed
     predecessor ``p``, so the search visits only the grid box they leave each
     node.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`;
@@ -311,7 +314,7 @@ def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) ->
     x: Dict[Tuple[int, int], RelationSet] = {}
     fixed: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(k)]
     matched = 0
-    for pair in resolution_order(0, k - 1):
+    for pair in resolution_order(0, k - 1) if network.relations else ():
         constraint = compute_constraint(x, *pair)  # raises if it empties
         relation = network.relations.get(pair)
         if relation is None:

@@ -237,8 +237,8 @@ def run_gibbs(
 
     Assignments are initialized by a sequential draw from the seating prior;
     each of the first ``burn_in + avg_window`` sweeps then reseats every node
-    of every instance in order, at the initial hyperparameters, on local lists
-    of the table/action counts, alpha and beta.  Per node a sweep removes the
+    of every instance in order, on local lists of the table/action counts, at
+    the initial alpha and beta, which are scalars.  Per node a sweep removes the
     node's count, weighs the tables, draws one by :func:`~ibgn.generate._draw`
     at one uniform times the weights' sum, adds the count back and counts the
     table in the running occupancy.  Each of the ``avg_window`` sweeps after
@@ -281,8 +281,8 @@ def run_gibbs(
     )
     # the sweep's table/action counts live only in these lists; alpha and beta stay fixed until the refits
     na, rows = [[0.0] * vocab_size for _ in range(ell)], [0.0] * ell
-    alpha, beta = state.alpha.tolist(), state.beta.tolist()
-    brows = [float(config.beta_init) * vocab_size] * ell
+    a0, b0 = float(config.alpha_init), float(config.beta_init)
+    alpha, brow = state.alpha.tolist(), b0 * vocab_size
 
     # sequential prior draw
     for inst_actions, seats in zip(actions, state.assignments):
@@ -304,13 +304,13 @@ def run_gibbs(
                 rows[z] -= 1.0
                 position = n + 1
                 weights = [
-                    (na[t][a] + beta[t][a]) / (rows[t] + brows[t]) * count / (position + alpha[t] - 1.0)
+                    (na[t][a] + b0) / (rows[t] + brow) * count / (position + a0 - 1.0)
                     for t, count in enumerate(occupancy)
                 ]
                 t = len(occupancy)
                 if t < ell:
-                    like = (na[t][a] + beta[t][a]) / (rows[t] + brows[t])
-                    weights.append(like * alpha[t] / (position + alpha[t] - 1.0))
+                    like = (na[t][a] + b0) / (rows[t] + brow)
+                    weights.append(like * a0 / (position + a0 - 1.0))
                 z = _draw(weights, next(uniforms) * sum(weights))
                 seats[n] = z
                 na[z][a] += 1.0

@@ -10,15 +10,15 @@ of relations a node pair may take given everything already fixed between and
 around it.  Pairs of adjacent nodes are unconstrained; for the rest the
 constraint is the intersection, over every intermediate node, of the
 composition of the flanking entries, so it depends only on the fixed
-entries inside its span.  ``ConstraintMatrix`` holds the fixed entries and
-computes any other one on first read, in ``resolution_order`` (later node
-ascending, earlier node descending), which lists a span's inner pairs first.
+entries inside its span.  ``resolution_order`` (later node ascending, earlier
+node descending) lists a span's inner pairs first, and ``StructureMask.plan``
+lists, before each link, the pairs inside its span that it is first to need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebra import BaseRelation, FULL_SET, RelationSet, compose, compose_sets, relation_of
@@ -35,7 +35,6 @@ __all__ = [
     "check_consistency",
     "compute_constraint",
     "resolution_order",
-    "ConstraintMatrix",
     "scan_link_constraints",
 ]
 
@@ -138,13 +137,24 @@ class StructureMask:
     def sorted_links(self) -> List[Tuple[int, int]]:
         return sorted(self.links)
 
-    @cached_property
-    def ordered_links(self) -> Tuple[Tuple[int, int], ...]:
-        """The links in :func:`resolution_order`, computed once per mask; the
-        pair tuples are the order's own, so every mask, and every network
-        keyed by its links, shares them."""
-        last = max((j for _, j in self.links), default=0)
-        return tuple(pair for pair in resolution_order(0, last) if pair in self.links)
+    @property
+    def plan(self) -> Tuple[Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]], ...]:
+        """``(link, pairs)`` per link in :func:`resolution_order`: ``pairs`` are the
+        non-link pairs inside its span that no earlier link's span holds, in that
+        order.  Built once per set of links, from the order's own pair tuples."""
+        return _plan(self.links)
+
+
+@lru_cache(maxsize=1024)
+def _plan(links: frozenset) -> Tuple[Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]], ...]:
+    order = resolution_order(0, max((j for _, j in links), default=0))
+    plan, resolved = [], set(links)
+    for index, (first, last) in enumerate(order):
+        if (first, last) in links:
+            inner = tuple(p for p in order[:index] if first <= p[0] and p[1] <= last and p not in resolved)
+            resolved.update(inner)
+            plan.append((order[index], inner))
+    return tuple(plan)
 
 
 def instance_to_network(instance: Instance) -> IntervalNetwork:
@@ -222,22 +232,6 @@ def resolution_order(first: int, last: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((n_prime, n) for n in range(first + 1, last + 1) for n_prime in range(n - 1, first - 1, -1))
 
 
-class ConstraintMatrix(dict):
-    """Constraint entries by node pair.  Callers store the singletons of fixed
-    relations; reading a missing pair fills the missing entries inside it in
-    :func:`resolution_order`, without recursion.  Store every fixed entry
-    inside a pair before reading it."""
-
-    def __missing__(self, pair: Tuple[int, int]) -> RelationSet:
-        first, last = pair
-        if not 0 <= first < last:
-            raise KeyError(pair)
-        for inner in resolution_order(first, last):
-            if inner not in self:
-                self[inner] = compute_constraint(self, *inner)
-        return self[pair]
-
-
 def scan_link_constraints(
     instance: Instance, mask: StructureMask
 ) -> Iterator[Tuple[int, int, RelationSet, BaseRelation]]:
@@ -248,13 +242,15 @@ def scan_link_constraints(
     the constraint the links inside the pair's span allow (singletons of their
     observed relations, composed where no link fixes an entry) — the exact
     quantity the relation distributions are conditioned on, during both
-    training and scoring.  Every link inside a span comes earlier in the order.
+    training and scoring.  Each pair of :attr:`StructureMask.plan` is composed once.
     """
     intervals = instance.intervals
-    x = ConstraintMatrix()
-    for n_prime, n in mask.ordered_links:
+    x: Dict[Tuple[int, int], RelationSet] = {}
+    for (n_prime, n), inner in mask.plan:
         if n >= len(intervals):
             return
         relation = relation_of(intervals[n_prime].times, intervals[n].times)
+        for pair in inner:
+            x[pair] = compute_constraint(x, *pair)
         yield n_prime, n, compute_constraint(x, n_prime, n), relation
         x[(n_prime, n)] = RelationSet.of(relation)

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from ibgn import (
     BaseRelation,
     ClassModel,
-    ConstraintMatrix,
     FULL_SET,
     Instance,
     Interval,
@@ -125,16 +124,29 @@ def frozen_seat(occupancy, alpha, rng: np.random.Generator) -> int:
     return table
 
 
+class LazyConstraints(dict):
+    """Constraint entries by node pair, for the oracle below: reading a missing
+    pair fills the missing entries inside it in resolution order, so reading a
+    link composes every pair its constraint depends on that is not yet stored."""
+
+    def __missing__(self, pair):
+        for inner in resolution_order(*pair):
+            if inner not in self:
+                self[inner] = compute_constraint(self, *inner)
+        return self[pair]
+
+
 def reference_sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> IntervalNetwork:
     """Oracle for ``sample_network``: the all-pairs walk in resolution order,
-    seating node ``n`` at ``(n - 1, n)`` and drawing each pair the mask links."""
+    seating node ``n`` at ``(n - 1, n)`` and drawing each pair the mask links
+    under the constraint a lazy store composes when the link reads it."""
     occupancy = []
 
     def next_action():
         return _draw(model.theta[frozen_seat(occupancy, model.alpha, rng)], rng.random()) + 1
 
     actions = [next_action()]
-    x = ConstraintMatrix()
+    x = LazyConstraints()
     relations = {}
     for pair in resolution_order(0, k - 1):
         n_prime, n = pair
@@ -358,6 +370,27 @@ class TestSampleNetwork:
                     assert results[0] == results[1]
                     outcomes[results[0][0] == "empty constraint"] += 1
         assert outcomes[False] >= 1500 and outcomes[True] > 0
+
+    @pytest.mark.parametrize(
+        "index, k, links, seed",
+        [
+            (816, 6, [(0, 2), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4)], 3164257828),
+            (2932, 6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (3, 5), (4, 5)], 4256848299),
+        ],
+    )
+    def test_empty_pair_before_a_link_leaves_its_node_seated(self, index, k, links, seed):
+        """The link is the first to end at its node, and a non-link pair it reads
+        comes out empty: the sampler seats the node before it composes that pair,
+        as the all-pairs walk does, so the rng ends where the oracle's does."""
+        model = random_model(np.random.default_rng([7, index]), vocab_size=3, k_star=k)
+        model = dataclasses.replace(model, structure=StructureMask.of(links))
+        states = []
+        for sample in (sample_network, reference_sample_network):
+            draws = np.random.default_rng(seed)
+            with pytest.raises(EmptyConstraint):
+                sample(model, k, draws)
+            states.append(draws.bit_generator.state)
+        assert states[0] == states[1]
 
     def test_deterministic_under_seed(self):
         rng1 = np.random.default_rng(7)

@@ -689,16 +689,17 @@ class TestRunGibbs:
     def test_matches_prefix_rebuild_oracle(self):
         # the long-instance cases (lengths 8-13, a large alpha_init) cover updates
         # that weigh 8 or more tables: about a fifth of their node updates do
-        for seed, ell, lengths, alpha_init in (
-            (0, None, (1, 7), 1.0), (1, None, (1, 7), 1.0), (2, 3, (1, 7), 1.0),
-            (3, None, (8, 14), 20.0), (4, 9, (8, 14), 20.0),
+        # the last case takes fractional alpha_init and beta_init, which the sweep weighs as scalars
+        for seed, ell, lengths, alpha_init, beta_init in (
+            (0, None, (1, 7), 1.0, 0.5), (1, None, (1, 7), 1.0, 0.5), (2, 3, (1, 7), 1.0, 0.5),
+            (3, None, (8, 14), 20.0, 0.5), (4, 9, (8, 14), 20.0, 0.5), (5, None, (1, 7), 0.3, 0.7),
         ):
             rng = np.random.default_rng(110 + seed)
             corpus = [
                 random_actions_instance(rng, int(rng.integers(*lengths)), 4) for _ in range(10)
             ]
             # 15 refit steps after the window
-            config = tiny_config(iterations=55, alpha_init=alpha_init)
+            config = tiny_config(iterations=55, alpha_init=alpha_init, beta_init=beta_init)
             got = run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             want = prefix_run_gibbs(corpus, 4, config, np.random.default_rng(seed), ell=ell)
             assert got.assignments == want.assignments

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from ibgn import (
     BaseRelation,
-    ConstraintMatrix,
     FULL_SET,
     Instance,
     Interval,
@@ -158,12 +157,39 @@ class TestStructureMask:
     def test_chain_of_one_is_empty(self):
         assert len(StructureMask.chain(1)) == 0
 
-    def test_ordered_links_follow_resolution_order(self):
+    def test_plan_links_follow_resolution_order(self):
         mask = StructureMask.of([(0, 3), (2, 3), (0, 1), (5, 6)])
-        assert mask.ordered_links == ((0, 1), (2, 3), (0, 3), (5, 6))
-        assert mask.ordered_links is mask.ordered_links  # computed once
-        assert StructureMask.full(5).ordered_links == tuple(resolution_order(0, 4))
-        assert StructureMask.of([]).ordered_links == ()
+        assert [link for link, _ in mask.plan] == [(0, 1), (2, 3), (0, 3), (5, 6)]
+        assert mask.plan is mask.plan  # computed once
+        assert [link for link, _ in StructureMask.full(5).plan] == list(resolution_order(0, 4))
+        assert StructureMask.of([]).plan == ()
+
+    def test_plan_lists_each_inner_pair_once_before_its_first_link(self):
+        """Every pair inside some link's span appears once: as a link, or in the
+        list of the first link whose span holds it; and after every pair inside
+        its own span, so each entry it composes is already resolved."""
+        rng = np.random.default_rng(19)
+        masks = [StructureMask.chain(7), StructureMask.full(7), StructureMask.of([])]
+        masks += [
+            StructureMask.of((a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.3)
+            for k in rng.integers(2, 10, size=60).tolist()
+        ]
+        assert StructureMask.of([(0, 1), (2, 3), (0, 3)]).plan == (
+            ((0, 1), ()), ((2, 3), ()), ((0, 3), ((1, 2), (0, 2), (1, 3))),
+        )
+        for mask in masks:
+            links = [link for link, _ in mask.plan]
+            walk = [pair for link, inner in mask.plan for pair in (*inner, link)]
+            assert len(set(walk)) == len(walk)
+            assert set(walk) == {pair for a, b in mask.links for pair in resolution_order(a, b)}
+            position = {pair: index for index, pair in enumerate(walk)}
+            for index, (link, inner) in enumerate(mask.plan):
+                assert not set(inner) & mask.links
+                for a, b in inner:
+                    spans = [i for i, (c, d) in enumerate(links) if c <= a and b <= d]
+                    assert spans[0] == index
+            for a, b in walk:
+                assert all(position[inner] < position[(a, b)] for inner in resolution_order(a, b)[:-1])
 
     def test_masks_share_the_pair_tuples_of_the_order(self):
         """Networks are keyed by their mask's links, so masks loaded apart must not
@@ -172,14 +198,15 @@ class TestStructureMask:
         order = resolution_order(0, 5)
         assert resolution_order(0, 5) is order
         for mask in (chain, full, StructureMask.chain(6)):
-            assert all(any(pair is shared for shared in order) for pair in mask.ordered_links)
+            assert all(any(link is shared for shared in order) for link, _ in mask.plan)
+        assert StructureMask.chain(6).plan is chain.plan  # built once per set of links
 
     def test_cached_links_leave_equality_hashing_and_pickling_alone(self):
         mask = StructureMask.chain(4)
-        mask.ordered_links
+        mask.plan
         assert mask == StructureMask.chain(4) and hash(mask) == hash(StructureMask.chain(4))
         copy = pickle.loads(pickle.dumps(mask))
-        assert copy == mask and copy.ordered_links == mask.ordered_links
+        assert copy == mask and copy.plan == mask.plan
 
 
 def reference_scan(network, mask):
@@ -213,34 +240,6 @@ class TestResolutionOrder:
         position = {pair: index for index, pair in enumerate(pairs)}
         for (a, b), index in position.items():
             assert all(position[inner] < index for inner in resolution_order(a, b) if inner != (a, b))
-
-
-class TestConstraintMatrix:
-    def test_read_fills_exactly_the_pairs_inside(self):
-        x = ConstraintMatrix()
-        assert x[(0, 3)] == FULL_SET
-        assert set(x) == {(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)}
-
-    def test_entries_equal_the_eager_walk(self):
-        x = ConstraintMatrix()
-        eager = {}
-        for n_prime, n in resolution_order(0, 4):
-            eager[(n_prime, n)] = compute_constraint(eager, n_prime, n)
-            if n == n_prime + 1:
-                eager[(n_prime, n)] = x[(n_prime, n)] = RelationSet.of(O)
-        assert x[(0, 4)] == eager[(0, 4)] and dict(x) == eager
-
-    def test_prefilled_entry_is_kept(self):
-        before = RelationSet.of(B)
-        x = ConstraintMatrix({(0, 1): before, (1, 2): before})
-        assert x[(0, 2)] == compose_sets(before, before)
-        assert x[(0, 1)] == x[(1, 2)] == before
-
-    def test_pair_out_of_order_is_a_key_error(self):
-        with pytest.raises(KeyError):
-            ConstraintMatrix()[(2, 2)]
-        with pytest.raises(KeyError):
-            ConstraintMatrix()[(3, 1)]
 
 
 class TestScanLinkConstraints:

@@ -10,6 +10,7 @@ traced run; these tests catch both in the unit suite.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from math import comb
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibgn import IntervalNetwork, generate, instance_to_network, learning
+from ibgn import IntervalNetwork, StructureMask, generate, instance_to_network, learning
 from conftest import random_actions_instance, random_instance, random_model, tiny_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -82,19 +83,20 @@ def _chain_of(network):
     return IntervalNetwork(network.actions, {(i, j): r for (i, j), r in network.relations.items() if j == i + 1})
 
 
-# the constraint work is one computation per pair; the search reads each fixed relation's
-# signs from a table built at import, so it makes no relation_of call (``realize_checks``),
-# and ``test_generate.py`` pins the order in which it tries placements
+# the constraint work is one computation per pair, and none without a fixed relation, since
+# every entry is then the full set; the search reads each fixed relation's signs from a table
+# built at import, so it makes no relation_of call (``realize_checks``), and
+# ``test_generate.py`` pins the order in which it tries placements
 @pytest.mark.parametrize(
-    "network",
+    "network, constraints, compositions",
     [
-        _chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))),
-        instance_to_network(random_instance(np.random.default_rng(12), 7)),
-        IntervalNetwork((1,) * 12, {}),
+        (_chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))), comb(6, 2), comb(6, 3)),
+        (instance_to_network(random_instance(np.random.default_rng(12), 7)), comb(7, 2), comb(7, 3)),
+        (IntervalNetwork((1,) * 12, {}), 0, 0),
     ],
     ids=["chain-6", "full-7", "no-relations-12"],
 )
-def test_traced_realization_composes_each_pair_once(network):
+def test_traced_realization_composes_each_pair_once(network, constraints, compositions):
     tracer = load_tracing().Tracer()
     tracer.run_id = "probe"
     try:
@@ -103,7 +105,27 @@ def test_traced_realization_composes_each_pair_once(network):
     finally:
         tracer.uninstall()
     counts = tracer.counts["probe"]
-    k = network.size
-    assert counts["network.compute_constraint_calls"] == comb(k, 2)
-    assert counts["algebra.compose_sets_calls"] == comb(k, 3)
+    assert counts["network.compute_constraint_calls"] == constraints
+    assert counts["algebra.compose_sets_calls"] == compositions
     assert counts["generate.realize_checks"] == 0
+
+
+def test_traced_sampling_counts_the_pairs_its_links_read():
+    """Link (0, 3) reads the non-link pairs (1, 2), (0, 2) and (1, 3); the sampler
+    composes them itself, and the per-layer count must still see each one."""
+    mask = StructureMask.of([(0, 1), (2, 3), (0, 3)])
+    model = dataclasses.replace(random_model(np.random.default_rng(4), vocab_size=3, k_star=4), structure=mask)
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        network = generate.sample_network(model, 4, np.random.default_rng(6))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts["probe"]
+    assert set(network.relations) == mask.links
+    listed = sum(len(inner) for _, inner in mask.plan)
+    assert listed == 3
+    assert counts["network.compute_constraint_calls"] == len(mask) + listed
+    # (0, 2), (1, 3) through one middle node each, (0, 3) through two
+    assert counts["algebra.compose_sets_calls"] == 4
