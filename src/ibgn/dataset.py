@@ -124,9 +124,13 @@ _ENCODER = json.JSONEncoder(allow_nan=False)
 
 def save_instances(corpus: Corpus, path) -> None:
     """Write a corpus back to JSONL (canonical interval order, stable bytes);
-    a non-finite timestamp raises ``ValueError`` before the file is opened."""
+    a non-finite timestamp or an action id outside ``1 .. len(vocab)`` raises
+    ``ValueError`` before the file is opened."""
     lines = []
     for inst in corpus.instances:
+        for iv in inst.intervals:
+            if not 1 <= iv.action <= len(corpus.vocab):
+                raise ValueError(f"action id {iv.action} outside the vocabulary of {len(corpus.vocab)} names")
         record: Dict[str, object] = {}
         if inst.label is not None:
             record["label"] = inst.label

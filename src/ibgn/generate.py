@@ -14,9 +14,10 @@ A class model couples three ingredients:
 Sampling walks the mask's :attr:`~ibgn.network.StructureMask.plan`: it seats
 node ``n`` before the first link that ends at it, composes the pairs listed for
 that link and draws the link inside the constraint they allow.
-``realize_timestamps`` places each node by a depth-first search over the box of
-grid points its fixed relations leave it, and ``sample_instance`` runs the
-size -> network -> timestamps loop.
+``realize_timestamps`` checks consistency by an all-pairs constraint walk only
+when a relation skips a node, then places each node by a depth-first search over
+the box of grid points its fixed relations leave it; ``sample_instance`` runs
+the size -> network -> timestamps loop.
 """
 
 from __future__ import annotations
@@ -299,37 +300,38 @@ def _grid_interval(action: int, start: int, end: int) -> Interval:
 def realize_timestamps(network: IntervalNetwork, label: Optional[str] = None) -> Instance:
     """Assign integer timestamps realizing a sampled network.
 
-    Every pair's constraint is computed once, in resolution order, and
-    every fixed relation is checked against its own, so an inconsistent network
-    raises :class:`~ibgn.errors.EmptyConstraint` before the search places
-    intervals, in lexicographic order, on the grid ``0 .. 2k`` (it holds any
-    ``k`` intervals); with no relation fixed, every entry is the full set and
-    none is computed.  The fixed relations imply the rest, and each one fixes
-    the signs of ``s - s_p``, ``s - e_p`` and ``e - e_p`` against its placed
-    predecessor ``p``, so the search visits only the grid box they leave each
-    node.  A network with no placement raises :class:`~ibgn.errors.Unrealizable`;
-    a relation on a pair outside ``0 <= i < j < k`` raises ``ValueError``.
+    One pass over the relations files each under its later node, and a pair
+    outside ``0 <= i < j < k`` raises ``ValueError``.  If a relation joins
+    nodes ``i`` and ``j > i + 1``, every pair's constraint is then computed in
+    resolution order and each fixed relation checked against its own, so an
+    inconsistent network raises :class:`~ibgn.errors.EmptyConstraint` before
+    the search.  Relations on adjacent nodes alone (a chain, or none) skip that
+    walk: each node can be placed after its predecessor by their one relation.
+    The search places intervals in lexicographic order on the grid ``0 .. 2k``
+    (it holds any ``k`` intervals); each fixed relation fixes the signs of
+    ``s - s_p``, ``s - e_p`` and ``e - e_p`` against its placed predecessor
+    ``p``, so it visits only the grid box they leave each node.  A network
+    with no placement raises :class:`~ibgn.errors.Unrealizable`.
     """
     k = network.size
-    x: Dict[Tuple[int, int], RelationSet] = {}
     fixed: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(k)]
-    matched = 0
-    for pair in resolution_order(0, k - 1) if network.relations else ():
-        constraint = compute_constraint(x, *pair)  # raises if it empties
-        relation = network.relations.get(pair)
-        if relation is None:
-            x[pair] = constraint
-        elif relation in constraint:
-            fixed[pair[1]].append((pair[0], *_SIGNS[relation]))
-            matched += 1
-            x[pair] = RelationSet.of(relation)
-        else:
-            raise EmptyConstraint(
-                f"relation {relation.symbol} of pair {pair} lies outside its constraint {{{constraint.text()}}}"
-            )
-    if matched != len(network.relations):
-        stray = next(pair for pair in network.relations if pair not in x)
-        raise ValueError(f"relation on node pair {stray} outside the pairs of a {k}-node network")
+    for (i, j), relation in network.relations.items():
+        if not 0 <= i < j < k:
+            raise ValueError(f"relation on node pair {(i, j)} outside the pairs of a {k}-node network")
+        fixed[j].append((i, *_SIGNS[relation]))
+    if any(j > i + 1 for i, j in network.relations):
+        x: Dict[Tuple[int, int], RelationSet] = {}
+        for pair in resolution_order(0, k - 1):
+            constraint = compute_constraint(x, *pair)  # raises if it empties
+            relation = network.relations.get(pair)
+            if relation is None:
+                x[pair] = constraint
+            elif relation in constraint:
+                x[pair] = RelationSet.of(relation)
+            else:
+                raise EmptyConstraint(
+                    f"relation {relation.symbol} of pair {pair} lies outside its constraint {{{constraint.text()}}}"
+                )
 
     chosen: List[Tuple[int, int]] = []
     if not _place(chosen, fixed):

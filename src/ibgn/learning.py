@@ -54,7 +54,6 @@ __all__ = [
     "estimate_phi",
     "collect_link_counts",
     "NULL_RELATION_CODE",
-    "BicFamilyCounts",
     "bic_family_score",
     "learn_structure",
     "train_class_model",
@@ -263,6 +262,8 @@ def run_gibbs(
     longest = max(len(a) for a in actions)
     if ell is None:
         ell = longest
+    elif ell < 1:
+        raise ValueError(f"table budget ell={ell} must be at least 1")
 
     cap = longest + 1
     state = SamplerState(
@@ -389,20 +390,6 @@ def estimate_phi(
 # structure learning
 
 
-@dataclass(frozen=True)
-class BicFamilyCounts:
-    """Sufficient statistics of one pair's relation variable: how many
-    instances have each ``((parent actions), relation code)``.
-
-    Relation codes are 0..6 for the forward relations and 7 for null; parent
-    configurations are the two node actions (0 = null).  A node at or past an
-    instance's end is null, as is any relation that touches it.
-    """
-
-    joint: Mapping[Tuple[Tuple[int, int], int], int]
-    vocab_size: int
-
-
 def _family_counts(instances: Sequence[Instance], k_star: int) -> Dict[Tuple[int, int], Counter]:
     """The joint counts of every pair ``(i, j)`` of ``range(k_star)``, keys in order of first
     occurrence, in one pass that reads every pair inside an instance with ``relation_of`` (so
@@ -417,26 +404,32 @@ def _family_counts(instances: Sequence[Instance], k_star: int) -> Dict[Tuple[int
     return joint
 
 
-def bic_family_score(counts: BicFamilyCounts, with_parents: bool) -> float:
+def bic_family_score(
+    joint: Mapping[Tuple[Tuple[int, int], int], int], vocab_size: int, with_parents: bool
+) -> float:
     """BIC score of one relation variable, with or without its action parents.
 
-    Log-likelihood of the observed relation values (0 log 0 = 0) minus the
+    ``joint`` counts the instances with each ``((parent actions), relation
+    code)``: codes 0..6 are the forward relations and 7 is null, and the
+    parents are the two node actions (0 = null).  A node at or past an
+    instance's end is null, as is any relation that touches it.  The score is
+    the log-likelihood of the observed relation values (0 log 0 = 0) minus the
     complexity penalty ``log(D)/2 * 7 * num_parent_configurations`` — the
     relation variable contributes 7 free probabilities per configuration, and
     the actions range over the vocabulary plus null.  ``D`` and the marginal
     counts are sums of the joint counts.
     """
-    size = sum(counts.joint.values())
+    size = sum(joint.values())
     if size <= 0:
         raise EmptyCorpus("BIC needs at least one instance")
     penalty_unit = math.log(size) / 2.0 * 7.0
     totals: Counter = Counter()
     if with_parents:
-        for (parents, _code), n in counts.joint.items():
+        for (parents, _code), n in joint.items():
             totals[parents] += n
-        loglik = sum(n * math.log(n / totals[parents]) for (parents, _code), n in counts.joint.items() if n > 0)
-        return loglik - penalty_unit * (counts.vocab_size + 1) ** 2
-    for (_parents, code), n in counts.joint.items():  # the marginal, codes in order of first occurrence
+        loglik = sum(n * math.log(n / totals[parents]) for (parents, _code), n in joint.items() if n > 0)
+        return loglik - penalty_unit * (vocab_size + 1) ** 2
+    for (_parents, code), n in joint.items():  # the marginal, codes in order of first occurrence
         totals[code] += n
     loglik = sum(n * math.log(n / size) for n in totals.values() if n > 0)
     return loglik - penalty_unit
@@ -458,8 +451,7 @@ def learn_structure(instances: Sequence[Instance], vocab_size: int) -> Structure
         raise EmptyCorpus("every instance is empty")
     links = []
     for pair, joint in _family_counts(instances, k_star).items():
-        counts = BicFamilyCounts(joint, vocab_size)
-        if bic_family_score(counts, True) > bic_family_score(counts, False):
+        if bic_family_score(joint, vocab_size, True) > bic_family_score(joint, vocab_size, False):
             links.append(pair)
     return StructureMask.of(links)
 

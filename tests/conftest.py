@@ -12,7 +12,6 @@ import numpy as np
 
 import ibgn
 from ibgn import (
-    BicFamilyCounts,
     ClassModel,
     FULL_SET,
     Instance,
@@ -261,10 +260,10 @@ def exhaustive_structure_oracle(instances, vocab_size) -> StructureMask:
     pairs = list(itertools.combinations(range(max(net.size for net in networks)), 2))
     scores = {}
     for pair in pairs:
-        counts = BicFamilyCounts(joint=padded_family_counts(networks, *pair), vocab_size=vocab_size)
+        joint = padded_family_counts(networks, *pair)
         scores[pair] = (
-            bic_family_score(counts, False),
-            bic_family_score(counts, True),
+            bic_family_score(joint, vocab_size, False),
+            bic_family_score(joint, vocab_size, True),
         )
     best_mask, best_score = 0, -math.inf
     for bitmask in range(1 << len(pairs)):

@@ -137,6 +137,14 @@ class TestLoadInstances:
             save_instances(corpus, tmp_path / "inf.jsonl")
         assert not (tmp_path / "inf.jsonl").exists()
 
+    @pytest.mark.parametrize("action", [0, -1, 3])
+    def test_save_refuses_action_ids_outside_the_vocabulary_before_writing(self, tmp_path, action):
+        valid = Instance("a", (Interval(1, 0.0, 1.0),))
+        corpus = Corpus([valid, Instance("a", (Interval(action, 0.0, 1.0),))], ["lift", "drop"], ["a"])
+        with pytest.raises(ValueError, match=f"action id {action} "):
+            save_instances(corpus, tmp_path / "bad.jsonl")
+        assert not (tmp_path / "bad.jsonl").exists()
+
     def test_save_is_byte_stable(self, tmp_path):
         corpus = build_synthetic_corpus(two_class_models(), per_class=5, seed=11)
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -7,7 +7,7 @@ import gc
 import math
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from ibgn import (
 from ibgn.errors import EmptyConstraint, Unrealizable
 from ibgn import generate
 from ibgn.generate import _draw, draw_size
-from conftest import random_actions_instance, random_model, two_class_models, uniform_model
+from conftest import random_actions_instance, random_instance, random_model, two_class_models, uniform_model
 
 
 def reference_realize(network: IntervalNetwork, label=None) -> Instance:
@@ -452,9 +452,11 @@ class TestRealizeTimestamps:
             reference_realize(contradicted)
         meets = {(n, n + 1): BaseRelation.MEETS for n in range(7)}
         meets_chain = IntervalNetwork(actions=(1,) * 8, relations={**meets, (0, 7): eq})
+        # one skipped node is enough: the walk gives (0, 2) the constraint {b}
+        star = IntervalNetwork(actions=(1, 1, 1), relations={(0, 1): b, (0, 2): eq})
         searches = []
         monkeypatch.setattr(generate, "_place", lambda *arguments: searches.append(arguments))
-        for net in (emptied, contradicted, meets_chain):
+        for net in (emptied, contradicted, meets_chain, star):
             with pytest.raises(EmptyConstraint):
                 realize_timestamps(net)
         assert searches == []  # no search started
@@ -524,6 +526,38 @@ class TestRealizeTimestamps:
         ):
             with pytest.raises(ValueError, match=re.escape(str(stray))):
                 realize_timestamps(IntervalNetwork((1, 1), relations))
+        # the network's shape is checked before its consistency
+        eq = BaseRelation.EQUALS
+        stray_and_inconsistent = {(0, 1): b, (1, 2): b, (0, 2): eq, (3, 4): m}
+        with pytest.raises(ValueError, match=re.escape("(3, 4)")):
+            realize_timestamps(IntervalNetwork((1, 1, 1), stray_and_inconsistent))
+
+    def test_chains_never_empty_the_walk_and_round_trip(self):
+        """Every chain of forward relations with k = 2..6 passes the all-pairs
+        walk that realization skips for it, and realizes its own relations."""
+        count = 0
+        for k in range(2, 7):
+            for chain in product(BaseRelation, repeat=k - 1):
+                relations = {(n, n + 1): relation for n, relation in enumerate(chain)}
+                x = {}
+                for pair in resolution_order(0, k - 1):
+                    x[pair] = compute_constraint(x, *pair)  # raises if it empties
+                    if pair in relations:
+                        assert relations[pair] in x[pair]
+                        x[pair] = RelationSet.of(relations[pair])
+                realized = instance_to_network(realize_timestamps(IntervalNetwork((1,) * k, relations)))
+                assert {pair: realized.relations[pair] for pair in relations} == relations
+                count += 1
+        assert count == 19_607
+
+    def test_full_network_realizes_the_same_in_any_relation_order(self):
+        rng = np.random.default_rng(1919)
+        for k in range(2, 9):
+            for _ in range(10):
+                net = instance_to_network(random_instance(rng, k))
+                reversed_net = IntervalNetwork(net.actions, dict(reversed(list(net.relations.items()))))
+                assert list(reversed_net.relations) != list(net.relations) or k == 2
+                assert realize_timestamps(reversed_net) == realize_timestamps(net)
 
     def test_unrealizable_network_fails_like_oracle(self):
         with pytest.raises(RuntimeError):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibgn import (
-    BicFamilyCounts,
     FULL_SET,
     Instance,
     Interval,
@@ -737,6 +736,12 @@ class TestRunGibbs:
         with pytest.raises(ValueError):
             run_gibbs([inst], 3, tiny_config(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_table_budget_below_one_rejected(self, ell):
+        corpus = [make_instance((1, 0, 1), (2, 1, 3))]
+        with pytest.raises(ValueError, match=f"ell={ell}"):
+            run_gibbs(corpus, 2, tiny_config(), np.random.default_rng(0), ell=ell)
+
     def test_invalid_config_rejected(self):
         inst = make_instance((1, 0, 1))
         with pytest.raises(ConfigInvalid):
@@ -803,24 +808,21 @@ class TestBic:
         assert NULL_RELATION_CODE == 7
 
     def test_constant_relation_without_parents(self):
-        counts = BicFamilyCounts(joint={((1, 1), 0): 10}, vocab_size=2)
-        assert bic_family_score(counts, False) == pytest.approx(
+        assert bic_family_score({((1, 1), 0): 10}, 2, False) == pytest.approx(
             -math.log(10) / 2.0 * 7.0
         )
 
     def test_hand_computed_scores(self):
         joint = {((1, 2), 0): 3, ((1, 2), 2): 1, ((2, 1), 2): 4}
-        counts = BicFamilyCounts(joint=joint, vocab_size=2)
         unit = math.log(8) / 2.0 * 7.0
         ll_joint = 3 * math.log(3 / 4) + 1 * math.log(1 / 4) + 4 * math.log(4 / 4)
         ll_marg = 3 * math.log(3 / 8) + 5 * math.log(5 / 8)
-        assert bic_family_score(counts, True) == pytest.approx(ll_joint - unit * 9)
-        assert bic_family_score(counts, False) == pytest.approx(ll_marg - unit)
+        assert bic_family_score(joint, 2, True) == pytest.approx(ll_joint - unit * 9)
+        assert bic_family_score(joint, 2, False) == pytest.approx(ll_marg - unit)
 
     def test_empty_dataset_rejected(self):
-        counts = BicFamilyCounts(joint={}, vocab_size=2)
         with pytest.raises(EmptyCorpus):
-            bic_family_score(counts, True)
+            bic_family_score({}, 2, True)
 
     @staticmethod
     def _dependent_corpus(copies):

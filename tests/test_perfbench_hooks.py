@@ -83,14 +83,14 @@ def _chain_of(network):
     return IntervalNetwork(network.actions, {(i, j): r for (i, j), r in network.relations.items() if j == i + 1})
 
 
-# the constraint work is one computation per pair, and none without a fixed relation, since
-# every entry is then the full set; the search reads each fixed relation's signs from a table
-# built at import, so it makes no relation_of call (``realize_checks``), and
-# ``test_generate.py`` pins the order in which it tries placements
+# the consistency walk computes each pair once, and only when a relation skips a node, since
+# relations on adjacent nodes alone (a chain, or none) are always consistent; the search reads
+# each fixed relation's signs from a table built at import, so it makes no relation_of call
+# (``realize_checks``), and ``test_generate.py`` pins the order in which it tries placements
 @pytest.mark.parametrize(
     "network, constraints, compositions",
     [
-        (_chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))), comb(6, 2), comb(6, 3)),
+        (_chain_of(instance_to_network(random_instance(np.random.default_rng(11), 6))), 0, 0),
         (instance_to_network(random_instance(np.random.default_rng(12), 7)), comb(7, 2), comb(7, 3)),
         (IntervalNetwork((1,) * 12, {}), 0, 0),
     ],
