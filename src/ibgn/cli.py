@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``predict``, ``eval``, ``generate``, ``perturb`` and
-``algebra``.  All take ``--seed`` (default 0) and ``--jobs`` (default 1);
-identical inputs, flags and seed produce byte-identical output files
-regardless of ``--jobs``.  Set ``IBGN_LOG`` to ``error``, ``info`` or
-``debug`` to control diagnostics on stderr.
+``algebra``.  Each accepts only the flags it reads: ``train``, ``eval``,
+``generate`` and ``perturb`` take ``--seed`` (default 0), and ``train`` and
+``eval`` take ``--jobs`` (default 1).  Identical inputs, flags and seed
+produce byte-identical output files regardless of ``--jobs``.  Set
+``IBGN_LOG`` to ``error``, ``info`` or ``debug`` to control diagnostics on
+stderr.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_bundle(args.out, bundle)
     for name in bundle.classes:
         model = bundle.models[name]
-        occupied = getattr(model, "occupied_tables", "?")
-        print(f"{name}: k_star={model.k_star} links={len(model.structure)} occupied_tables={occupied}")
+        print(f"{name}: k_star={model.k_star} links={len(model.structure)} occupied_tables={model.occupied_tables}")
     log.info("wrote model bundle to %s", args.out)
     return 0
 
@@ -113,6 +114,8 @@ def _perturb_corpus(corpus: Corpus, kind: str, rate: float, seed_key) -> Corpus:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if (args.perturb is None) != (args.rate is None):
+        raise ValueError("--perturb and --rate go together")
     corpus = load_instances(args.input)
     config = _config_from_args(args)
     splits = kfold_split(corpus, args.folds, args.seed)
@@ -142,7 +145,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 **dataclasses.asdict(config),
                 "perturb": args.perturb,
-                "rate": args.rate if args.perturb else None,
+                "rate": args.rate,
             },
         }
         with open(args.out_report, "w", encoding="utf-8") as handle:
@@ -208,13 +211,12 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
-    """One flag per :class:`TrainConfig` field, stored under the field's name."""
+    """One flag per :class:`TrainConfig` field, stored under the field's name, then ``--jobs`` and ``--seed``."""
     default = TrainConfig()
     sub.add_argument("--structure", choices=_STRUCTURE_MODES, default=default.structure, dest="structure")
     sub.add_argument(
@@ -228,6 +230,8 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta-init", type=float, default=default.beta_init, dest="beta_init")
     sub.add_argument("--clamp-lo", type=float, default=default.clamp_lo, dest="clamp_lo")
     sub.add_argument("--clamp-hi", type=float, default=default.clamp_hi, dest="clamp_hi")
+    sub.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    _add_seed(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--input", required=True)
     train.add_argument("--out", required=True, help="model bundle path (JSON)")
     _add_train_options(train)
-    _add_common(train)
     train.set_defaults(func=_cmd_train)
 
     pred = commands.add_parser("predict", help="classify instances with a trained bundle")
     pred.add_argument("--model", required=True)
     pred.add_argument("--input", required=True)
     pred.add_argument("--out", required=True, help="predictions CSV path")
-    _add_common(pred)
     pred.set_defaults(func=_cmd_predict)
 
     ev = commands.add_parser("eval", help="stratified cross-validation")
@@ -257,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out-report", dest="out_report", help="report JSON path")
     ev.add_argument("--out-confusion", dest="out_confusion", help="confusion CSV path")
     ev.add_argument("--perturb", choices=("labels", "durations"), help="perturb test folds")
-    ev.add_argument("--rate", type=float, default=0.0, help="perturbation rate")
+    ev.add_argument("--rate", type=float, help="perturbation rate (with --perturb)")
     _add_train_options(ev)
-    _add_common(ev)
     ev.set_defaults(func=_cmd_eval)
 
     gen = commands.add_parser("generate", help="sample synthetic instances from one class")
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--size", type=int, help="fixed instance size (default: model's size histogram)")
     gen.add_argument("--out", required=True)
-    _add_common(gen)
+    _add_seed(gen)
     gen.set_defaults(func=_cmd_generate)
 
     pert = commands.add_parser("perturb", help="write a perturbed copy of a corpus")
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--kind", choices=("labels", "durations"), required=True)
     pert.add_argument("--rate", type=float, required=True)
     pert.add_argument("--out", required=True)
-    _add_common(pert)
+    _add_seed(pert)
     pert.set_defaults(func=_cmd_perturb)
 
     alg = commands.add_parser("algebra", help="relation-algebra utilities")
@@ -284,11 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     alg_compose = alg_ops.add_parser("compose", help="compose two relation symbols")
     alg_compose.add_argument("r1")
     alg_compose.add_argument("r2")
-    alg_classes = alg_ops.add_parser("classes", help="list the 11 composition classes")
+    alg_ops.add_parser("classes", help="list the 11 composition classes")
     alg_check = alg_ops.add_parser("check", help="consistency-check a JSONL corpus")
     alg_check.add_argument("file")
-    for sub in (alg_compose, alg_classes, alg_check):
-        _add_common(sub)
     alg.set_defaults(func=_cmd_algebra)
 
     return parser
@@ -298,8 +297,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
     try:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (IbgnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

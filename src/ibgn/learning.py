@@ -510,10 +510,13 @@ def train_bundle(
 ) -> ModelBundle:
     """Fit one model per class of ``corpus``; when jobs > 1, in at most one process per class.
 
-    Seed rule: class ``idx`` of ``corpus.classes`` trains with the rng
-    ``default_rng(seed_key + [idx])`` and results are merged in class order,
-    so the bundle does not depend on ``jobs`` or on worker scheduling.
+    ``jobs`` must be at least 1.  Seed rule: class ``idx`` of ``corpus.classes``
+    trains with the rng ``default_rng(seed_key + [idx])`` and results are
+    merged in class order, so the bundle does not depend on ``jobs`` or on
+    worker scheduling.
     """
+    if jobs < 1:
+        raise ConfigInvalid(f"jobs must be at least 1, got {jobs}")
     groups = corpus.by_class()
     if not groups:
         raise EmptyCorpus("corpus has no labeled instances")

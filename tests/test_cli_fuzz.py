@@ -140,9 +140,9 @@ FLAG_CASES = (
     + [(command, flag, value) for command in ("train", "eval")
        for flag in ("--iters", "--burnin", "--avg-window") for value in ("-1", "0")]
     + [("generate", "--count", value) for value in ("-1", "0")]
-    + [(command, flag, value)
-       for command in ("train", "predict", "eval", "generate", "perturb-durations", "algebra")
-       for flag in ("--jobs", "--seed") for value in ("-1", "0")]
+    + [(command, flag, value) for command in ("train", "eval") for flag in ("--jobs", "--seed")
+       for value in ("-1", "0")]
+    + [(command, "--seed", value) for command in ("generate", "perturb-durations") for value in ("-1", "0")]
     + [("generate", "--size", value) for value in ("-1", "0", str(10**6))]
     + [("eval", "--folds", value) for value in ("-1", "0", str(10**6))]
 )

@@ -1002,3 +1002,10 @@ class TestTrainBundle:
         save_bundle(tmp_path / "serial.json", train_bundle(corpus, tiny_config(), [0], jobs=1))
         assert seen == [2]
         assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_training(self, monkeypatch, jobs):
+        monkeypatch.setattr(learning, "_fit_class", lambda payload: pytest.fail("trained a class"))
+        corpus = build_synthetic_corpus(two_class_models(), 3, seed=1)
+        with pytest.raises(ConfigInvalid, match=f"^jobs must be at least 1, got {jobs}$"):
+            train_bundle(corpus, tiny_config(), [0], jobs=jobs)
