@@ -44,8 +44,12 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     ``vocab`` is the instance's own id-to-name vocabulary.  The action term
     covers every interval; link terms cover the links inside the (canonical)
     instance, which all end before ``k_star``, so longer instances are
-    truncated for the relation part.  An empty instance scores 0.
+    truncated for the relation part.  An empty instance scores 0.  An action
+    id outside ``1 .. len(vocab)`` raises ``ValueError``.
     """
+    for iv in instance.intervals:
+        if not 1 <= iv.action <= len(vocab):
+            raise ValueError(f"action id {iv.action} outside vocabulary of size {len(vocab)}")
     ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
 
     score = 0.0
@@ -54,7 +58,7 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
 
     for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
         probs = model.relation_probs(ids[n_prime], ids[n], constraint)
-        score += _log(float(probs[constraint.index_of(relation)]))
+        score += _log(probs[constraint.index_of(relation)])
     return score
 
 

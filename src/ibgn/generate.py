@@ -22,6 +22,7 @@ the size -> network -> timestamps loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -52,9 +53,9 @@ class ClassModel:
     ``theta[z, i]`` is the probability that a node at table ``z`` performs
     the action with vocabulary id ``i + 1``; ``phi`` maps
     ``(action_i, action_j, constraint_bits)`` to a probability vector over
-    the constraint's members in canonical relation order.  ``theta_rows``
-    and ``alpha_list`` are plain-list copies, made once, that the sampler
-    draws from.
+    the constraint's members in canonical relation order, held as a tuple
+    of floats made once from any sequence.  ``theta_rows`` and ``alpha_list``
+    are plain-list copies, made once, that the sampler draws from.
     """
 
     k_star: int
@@ -63,7 +64,7 @@ class ClassModel:
     beta: np.ndarray
     theta: np.ndarray
     structure: StructureMask
-    phi: Dict[Tuple[int, int, int], np.ndarray]
+    phi: Dict[Tuple[int, int, int], Tuple[float, ...]]
     action_vocab: Tuple[str, ...]
     size_histogram: Dict[int, int]
 
@@ -71,7 +72,7 @@ class ClassModel:
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
-        self.phi = {key: np.asarray(vec, dtype=float) for key, vec in self.phi.items()}
+        self.phi = {key: tuple(map(float, vec)) for key, vec in self.phi.items()}
         self.action_vocab = tuple(self.action_vocab)
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
@@ -87,12 +88,12 @@ class ClassModel:
         """Vocabulary id (1..M) of an action name, or None if unknown."""
         return self._action_ids.get(name)
 
-    def relation_probs(self, i: Optional[int], j: Optional[int], constraint: RelationSet) -> Sequence[float]:
+    def relation_probs(self, i: Optional[int], j: Optional[int], constraint: RelationSet) -> Tuple[float, ...]:
         """The phi vector of actions ``i``, ``j`` under ``constraint``, or the uniform
         one over its members when the key was never trained or an action is unknown (None)."""
         probs = self.phi.get((i, j, constraint.bits))
         if probs is None:
-            return [1.0 / len(constraint)] * len(constraint)
+            return (1.0 / len(constraint),) * len(constraint)
         return probs
 
     def validate(self) -> None:
@@ -115,11 +116,11 @@ class ClassModel:
             members = RelationSet(bits)
             if not (1 <= i <= self.M and 1 <= j <= self.M):
                 raise ValueError(f"phi key ({i}, {j}) outside the vocabulary")
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, vec)):
                 raise ValueError(f"phi vector for {(i, j, bits)} must be finite")
-            if len(vec) != len(members) or np.any(vec < 0):
+            if len(vec) != len(members) or any(v < 0 for v in vec):
                 raise ValueError(f"phi vector for {(i, j, bits)} has wrong support")
-            if abs(float(vec.sum()) - 1.0) > 1e-9:
+            if abs(sum(vec) - 1.0) > 1e-9:
                 raise ValueError(f"phi vector for {(i, j, bits)} must sum to 1")
         if not self.size_histogram:
             raise ValueError("size histogram is empty")

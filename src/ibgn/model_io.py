@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-import numpy as np
-
 from .algebra import RelationSet
 from .errors import BundleInvalid, UnknownClass
 from .generate import ClassModel
@@ -100,16 +98,16 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
         key = (_int(entry["i"]), _int(entry["j"]), RelationSet.from_text(entry["constraint"]).bits)
         if key in phi:
             raise ValueError(f"phi key {key} repeats")
-        phi[key] = np.asarray(_reals(entry["probs"]))
+        phi[key] = _reals(entry["probs"])
     sizes = obj["size_histogram"]
     if any(size != str(int(size)) for size in sizes):
         raise ValueError(f"size histogram keys must be integers in plain decimal, not {list(sizes)}")
     model = ClassModel(
         k_star=_int(obj["k_star"]),
         ell=_int(obj["ell"]),
-        alpha=np.asarray(_reals(obj["alpha"])),
-        beta=np.asarray([_reals(row) for row in obj["beta"]]),
-        theta=np.asarray([_reals(row) for row in obj["theta"]]),
+        alpha=_reals(obj["alpha"]),
+        beta=[_reals(row) for row in obj["beta"]],
+        theta=[_reals(row) for row in obj["theta"]],
         structure=StructureMask.of((_int(i), _int(j)) for i, j in obj["structure"]),
         phi=phi,
         action_vocab=tuple(vocab),

@@ -178,11 +178,15 @@ def check_consistency(network: IntervalNetwork) -> ConsistencyReport:
 
     A triangle (i, j, k) is checked only when all three of its relations are
     present; the relation of (i, k) must be realizable given those of (i, j)
-    and (j, k).  Triangles touching null/absent relations are skipped.
+    and (j, k).  Triangles touching null/absent relations are skipped.  A
+    relation on a pair outside ``0 <= i < j < size`` raises ``ValueError``.
     """
     violations: List[Tuple[int, int, int]] = []
     rel = network.relations
     n = network.size
+    for i, j in rel:
+        if not 0 <= i < j < n:
+            raise ValueError(f"relation on node pair {(i, j)} outside the pairs of a {n}-node network")
     for i in range(n):
         for j in range(i + 1, n):
             r_ij = rel.get((i, j))

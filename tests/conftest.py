@@ -111,6 +111,11 @@ def random_model(rng: np.random.Generator, vocab_size: int = 3, k_star: int = 5)
     )
 
 
+def phi_is_float_tuples(model: ClassModel) -> bool:
+    """Whether every phi vector of ``model`` is a tuple of Python floats."""
+    return all(type(vec) is tuple and all(type(p) is float for p in vec) for vec in model.phi.values())
+
+
 MALFORMED_BUNDLE_CASES = (
     "no_models", "top_level_list", "class_without_model", "model_without_phi", "classes_not_a_list",
     "vocab_a_string", "vocab_not_strings", "vocab_repeated", "vocab_empty_name", "classes_repeated",

@@ -101,6 +101,14 @@ class TestScoreInstance:
         expected = 2 * math.log(1.2) + math.log(1.0 / 7.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("action", [0, -1, 4])
+    def test_action_id_outside_the_vocabulary_raises(self, action):
+        model = chain_model()
+        inst = make_instance((1, 0, 1), (action, 2, 3))
+        with pytest.raises(ValueError) as excinfo:
+            score_instance(model, inst, ["lift", "drop", "spin"])
+        assert str(excinfo.value) == f"action id {action} outside vocabulary of size 3"
+
     def test_zero_probability_relation_floored(self):
         model = chain_model()
         phi = dict(model.phi)

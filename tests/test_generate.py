@@ -38,7 +38,9 @@ from ibgn import (
 from ibgn.errors import EmptyConstraint, Unrealizable
 from ibgn import generate
 from ibgn.generate import _draw, draw_size
-from conftest import random_actions_instance, random_instance, random_model, two_class_models, uniform_model
+from conftest import (
+    phi_is_float_tuples, random_actions_instance, random_instance, random_model, two_class_models, uniform_model,
+)
 
 
 def reference_realize(network: IntervalNetwork, label=None) -> Instance:
@@ -608,6 +610,34 @@ class TestClassModelValidation:
         bad_phi = {(1, 1, FULL_SET.bits): np.full(7, 0.2)}
         with pytest.raises(ValueError):
             dataclasses.replace(model, phi=bad_phi).validate()
+
+    @pytest.mark.parametrize("kind", [np.array, list, tuple])
+    @pytest.mark.parametrize(
+        "key, vec, message",
+        [
+            ((1, 1, FULL_SET.bits), [1.0], "phi vector for (1, 1, 127) has wrong support"),
+            ((1, 1, FULL_SET.bits), [math.nan] + [1 / 6] * 6, "phi vector for (1, 1, 127) must be finite"),
+            ((1, 1, FULL_SET.bits), [-0.2, 0.2] + [0.2] * 5, "phi vector for (1, 1, 127) has wrong support"),
+            ((1, 1, FULL_SET.bits), [0.2] * 7, "phi vector for (1, 1, 127) must sum to 1"),
+            ((3, 1, FULL_SET.bits), [1 / 7] * 7, "phi key (3, 1) outside the vocabulary"),
+        ],
+        ids=["wrong_length", "nan", "negative", "unnormalized", "key_past_vocab"],
+    )
+    def test_phi_messages(self, kind, key, vec, message):
+        model = dataclasses.replace(uniform_model(), phi={key: kind(vec)})
+        with pytest.raises(ValueError) as excinfo:
+            model.validate()
+        assert str(excinfo.value) == message
+
+    def test_phi_held_as_float_tuples(self):
+        vec = np.full(7, 1 / 7)
+        model = dataclasses.replace(uniform_model(), phi={(1, 2, FULL_SET.bits): vec})
+        assert phi_is_float_tuples(model)
+        assert model.phi[(1, 2, FULL_SET.bits)] == tuple(vec.tolist())
+        trained = model.relation_probs(1, 2, FULL_SET)
+        unseen = model.relation_probs(2, 1, FULL_SET)
+        assert type(trained) is tuple and type(unseen) is tuple
+        assert unseen == (1 / 7,) * 7
 
     def test_size_histogram_bounds(self):
         model = uniform_model()

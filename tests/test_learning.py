@@ -39,6 +39,7 @@ from ibgn.generate import _draw, count_seat, seat_next
 from conftest import (
     exhaustive_structure_oracle,
     padded_family_counts,
+    phi_is_float_tuples,
     random_actions_instance,
     tiny_config,
     two_class_models,
@@ -950,6 +951,13 @@ class TestTrainClassModel:
             assert model.structure == StructureMask.full(k)
         else:
             assert all(j < k for _, j in model.structure.links)
+
+    def test_full_structure_phi_is_float_tuples(self):
+        model = train_class_model(
+            self._corpus(seed=3), ["x", "y", "z"], tiny_config(structure="full"),
+            np.random.default_rng(1),
+        )
+        assert model.phi and phi_is_float_tuples(model)
 
     def test_single_instance_trains(self):
         model = train_class_model(

@@ -10,7 +10,45 @@ import pytest
 from ibgn import ModelBundle, load_bundle, save_bundle
 from ibgn.errors import BundleInvalid, UnknownClass
 from ibgn.model_io import SCHEMA_VERSION
-from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, random_model, two_class_models
+from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, phi_is_float_tuples, random_model, two_class_models
+
+
+# The exact text each malformed case of make_bundle's document raises.
+MALFORMED = "malformed model bundle: "
+MALFORMED_BUNDLE_MESSAGES = {
+    "no_models": "model bundle has no entry 'models'",
+    "top_level_list": "model bundle must be a JSON object, not list",
+    "class_without_model": "model bundle has no entry 'ghost'",
+    "model_without_phi": "model bundle has no entry 'phi'",
+    "classes_not_a_list": MALFORMED + "classes must be a list of distinct strings",
+    "vocab_a_string": MALFORMED + "vocab must be a list of distinct non-empty strings",
+    "vocab_not_strings": MALFORMED + "vocab must be a list of distinct non-empty strings",
+    "vocab_repeated": MALFORMED + "vocab must be a list of distinct non-empty strings",
+    "vocab_empty_name": MALFORMED + "vocab must be a list of distinct non-empty strings",
+    "classes_repeated": MALFORMED + "classes must be a list of distinct strings",
+    "nan_phi": MALFORMED + "phi vector for (1, 1, 127) must be finite",
+    "nan_alpha": MALFORMED + "alpha must be finite",
+    "inf_beta": MALFORMED + "beta must be finite",
+    "vocab_empty_list": MALFORMED + "empty action vocabulary",
+    "negative_alpha": MALFORMED + "alpha must be a positive vector of length ell",
+    "negative_theta": MALFORMED + "theta must be a non-negative (ell, M) matrix",
+    "phi_i_past_vocab": MALFORMED + "phi key (5, 1) outside the vocabulary",
+    "k_star_float": MALFORMED + "expected an integer, not 5.9",
+    "k_star_string": MALFORMED + "expected an integer, not '5'",
+    "size_count_float": MALFORMED + "expected an integer, not 2.7",
+    "size_count_bool": MALFORMED + "expected an integer, not True",
+    "size_key_padded": MALFORMED + "size histogram keys must be integers in plain decimal, not ['4', '5', '03']",
+    "structure_float": MALFORMED + "expected an integer, not 1.9",
+    "phi_i_float": MALFORMED + "expected an integer, not 1.5",
+    "phi_key_repeated": MALFORMED + "phi key (1, 1, 127) repeats",
+    "alpha_bool": MALFORMED + "sequence item 0: expected str instance, bool found",
+    "alpha_text": MALFORMED + "expected a list of reals, not '11111'",
+    "beta_underscore": MALFORMED + "reals must be strings without whitespace or underscores, not "
+        "['1_0.5', '0.5', '0.5', '0.5']",
+    "theta_padded": MALFORMED + "reals must be strings without whitespace or underscores, not "
+        "[' 0.59999999999999998', '0.39999999999800001', '9.9999999999999998e-13', '9.9999999999999998e-13']",
+    "phi_probs_number": MALFORMED + "sequence item 0: expected str instance, float found",
+}
 
 
 def make_bundle(seed=0):
@@ -48,6 +86,15 @@ class TestRoundTrip:
             assert set(a.phi) == set(b.phi)
             for key in a.phi:
                 np.testing.assert_array_equal(a.phi[key], b.phi[key])
+
+    def test_load_save_reproduces_bytes_with_float_tuple_phi(self, tmp_path):
+        bundle = make_bundle()
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_bundle(p1, bundle)
+        loaded = load_bundle(p1)
+        assert all(model.phi and phi_is_float_tuples(model) for model in loaded.models.values())
+        save_bundle(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_awkward_floats_survive(self, tmp_path):
         import dataclasses
@@ -126,5 +173,9 @@ class TestErrors:
         path = tmp_path / "bundle.json"
         save_bundle(path, make_bundle())
         path.write_text(json.dumps(malformed_bundle(json.loads(path.read_text()), case)))
-        with pytest.raises(BundleInvalid):
+        with pytest.raises(BundleInvalid) as excinfo:
             load_bundle(path)
+        assert str(excinfo.value) == MALFORMED_BUNDLE_MESSAGES[case]
+
+    def test_every_malformed_case_has_a_pinned_message(self):
+        assert tuple(MALFORMED_BUNDLE_MESSAGES) == MALFORMED_BUNDLE_CASES

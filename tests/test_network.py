@@ -21,6 +21,7 @@ from ibgn import (
     compose_sets,
     compute_constraint,
     instance_to_network,
+    realize_timestamps,
     relation_of,
     resolution_order,
     scan_link_constraints,
@@ -94,6 +95,15 @@ class TestConsistency:
             relations={(0, 1): net.relation(0, 1), (1, 2): net.relation(1, 2)},
         )
         assert check_consistency(partial).consistent
+
+    def test_relation_outside_the_network_pairs_raises(self):
+        # (0, 5) lies past the last node; realize_timestamps rejects the same network
+        net = IntervalNetwork((1, 1), {(0, 5): B, (1, 0): M})
+        message = "relation on node pair (0, 5) outside the pairs of a 2-node network"
+        for check in (check_consistency, realize_timestamps):
+            with pytest.raises(ValueError) as excinfo:
+                check(net)
+            assert str(excinfo.value) == message
 
 
 class TestComputeConstraint:
