@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NoModels
-from .generate import ClassModel
+from .generate import EPS, ClassModel, _log
 from .network import Instance, scan_link_constraints
 
-__all__ = ["EPS", "Prediction", "score_instance", "predict"]
-
-EPS = 1e-8  # floor probability for actions/relations the model cannot explain
+__all__ = ["Prediction", "score_instance", "predict"]
 
 
 @dataclass(frozen=True)
@@ -34,10 +32,6 @@ class Prediction:
     margin: float
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else math.log(EPS)
-
-
 def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) -> float:
     """Log-score of an instance under one class model (always finite).
 
@@ -47,14 +41,15 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     truncated for the relation part.  An empty instance scores 0.  An action
     id outside ``1 .. len(vocab)`` raises ``ValueError``.
     """
+    ids: List[Optional[int]] = []
+    score = 0.0
+    log_theta_mass = model.log_theta_mass
     for iv in instance.intervals:
         if not 1 <= iv.action <= len(vocab):
             raise ValueError(f"action id {iv.action} outside vocabulary of size {len(vocab)}")
-    ids: List[Optional[int]] = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
-
-    score = 0.0
-    for mid in ids:
-        score += _log(model.theta_mass[mid - 1]) if mid is not None else math.log(EPS)
+        mid = model.action_id(vocab[iv.action - 1])
+        ids.append(mid)
+        score += log_theta_mass[mid - 1] if mid is not None else math.log(EPS)
 
     for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
         probs = model.relation_probs(ids[n_prime], ids[n], constraint)
@@ -70,11 +65,7 @@ def predict(
     """Max-score classification; ties break to the lowest class index."""
     if not models:
         raise NoModels("prediction requires at least one class model")
-    scores = tuple(score_instance(model, instance, vocab) for _, model in models)
-    best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    if len(scores) > 1:
-        runner_up = max(s for i, s in enumerate(scores) if i != best)
-        margin = scores[best] - runner_up
-    else:
-        margin = 0.0
-    return Prediction(label=models[best][0], scores=scores, margin=margin)
+    scores = tuple([score_instance(model, instance, vocab) for _, model in models])
+    ranked = sorted(scores)
+    margin = ranked[-1] - ranked[-2] if len(ranked) > 1 else 0.0  # the runner-up is the second largest
+    return Prediction(label=models[scores.index(ranked[-1])][0], scores=scores, margin=margin)

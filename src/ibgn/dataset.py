@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
 from .generate import ClassModel, sample_instance
-from .network import Instance, Interval
+from .network import Instance, Interval, _canonical_key
 
 __all__ = [
     "Corpus",
@@ -57,6 +57,8 @@ class Corpus:
 
 
 def _require_number(value, line_no: int, what: str) -> float:
+    if type(value) is float and math.isfinite(value):  # most timestamps, as JSON parses them
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(line_no, f"{what} must be a number, got {value!r}")
     try:
@@ -108,13 +110,15 @@ def load_instances(path) -> Corpus:
                         f"line {line_no}: interval [{start}, {end}] of "
                         f"action {name!r} has start >= end"
                     )
-                if name not in action_ids:
-                    action_ids[name] = len(vocab) + 1
+                action = action_ids.get(name)
+                if action is None:
+                    action = action_ids[name] = len(vocab) + 1
                     vocab.append(name)
-                intervals.append(Interval(action=action_ids[name], start=start, end=end))
+                intervals.append(Interval(action, start, end))
             if label is not None:
                 label = classes.setdefault(label, label)
-            instances.append(Instance(label=label, intervals=tuple(intervals)).canonicalized())
+            intervals.sort(key=_canonical_key)
+            instances.append(Instance(label, tuple(intervals)))
     return Corpus(instances=instances, vocab=vocab, classes=list(classes))
 
 

@@ -69,3 +69,5 @@ class BundleInvalid(IbgnError, ValueError):
 
 class UnknownClass(IbgnError, KeyError):
     """A class name is absent from a model bundle."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it

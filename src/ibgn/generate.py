@@ -36,6 +36,7 @@ from .network import Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
 
 __all__ = [
+    "EPS",
     "ClassModel",
     "crp_table_distribution",
     "count_seat",
@@ -44,6 +45,12 @@ __all__ = [
     "realize_timestamps",
     "sample_instance",
 ]
+
+EPS = 1e-8  # floor probability for actions/relations the model cannot explain
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else math.log(EPS)
 
 
 @dataclass(eq=False)
@@ -76,7 +83,8 @@ class ClassModel:
         self.action_vocab = tuple(self.action_vocab)
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
-        self.theta_mass = self.theta.sum(axis=0).tolist()  # per action: its total mass over the tables
+        # per action: the log of its total mass over the tables, the term scoring adds per interval
+        self.log_theta_mass = [_log(mass) for mass in self.theta.sum(axis=0).tolist()]
         self.theta_rows = self.theta.tolist()
         self.alpha_list = self.alpha.tolist()
 

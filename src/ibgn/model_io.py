@@ -44,7 +44,7 @@ class ModelBundle:
 
     def model_for(self, name: str) -> ClassModel:
         if name not in self.models:
-            raise UnknownClass(name)
+            raise UnknownClass(f"no class {name!r}; the bundle has {', '.join(map(repr, self.classes)) or 'none'}")
         return self.models[name]
 
 

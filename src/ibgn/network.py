@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .algebra import BaseRelation, FULL_SET, RelationSet, compose, compose_sets, relation_of
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 NULL_ACTION = 0  # the action BIC structure learning reads past an instance's end
+_canonical_key = attrgetter("start", "end")  # an interval's place in canonical order; sorts keep ties in order
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,11 +71,11 @@ class Instance:
         return len(self.intervals)
 
     def is_canonical(self) -> bool:
-        keys = [iv.times for iv in self.intervals]
+        keys = [_canonical_key(iv) for iv in self.intervals]
         return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
     def canonicalized(self) -> "Instance":
-        ordered = tuple(sorted(self.intervals, key=lambda iv: iv.times))
+        ordered = tuple(sorted(self.intervals, key=_canonical_key))
         return replace(self, intervals=ordered)
 
 

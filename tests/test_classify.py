@@ -46,7 +46,9 @@ def chain_model():
 
 
 def reference_score_instance(model, instance, vocab):
-    """``score_instance`` summing ``theta`` over the tables on every call."""
+    """``score_instance`` taking every log at score time: ``_log`` of ``theta`` summed over the
+    tables per interval (``log(EPS)`` for an unknown action), then ``_log`` of the observed
+    relation's phi entry, or of the uniform fallback, per link in scan order."""
     ids = [model.action_id(vocab[iv.action - 1]) for iv in instance.intervals]
     theta_mass = model.theta.sum(axis=0)
     score = 0.0
@@ -163,7 +165,7 @@ class TestScoreInstance:
             model = random_model(rng, vocab_size=3, k_star=5)
             if trial % 2:
                 model = dataclasses.replace(model, structure=StructureMask.chain(5))
-            assert model.theta_mass == model.theta.sum(axis=0).tolist()
+            assert model.log_theta_mass == [_log(mass) for mass in model.theta.sum(axis=0).tolist()]
             for _ in range(10):
                 inst = random_actions_instance(rng, int(rng.integers(0, 8)), len(vocab))
                 assert score_instance(model, inst, vocab) == reference_score_instance(model, inst, vocab)
@@ -209,3 +211,33 @@ class TestPredict:
     def test_no_models_rejected(self):
         with pytest.raises(NoModels):
             predict([], make_instance((1, 0, 1)), ["lift"])
+
+
+@pytest.mark.parametrize("mask", ["chain", "full", "random"])
+def test_log_table_scores_are_bit_identical_to_logs_taken_at_score_time(mask):
+    rng = np.random.default_rng({"chain": 41, "full": 42, "random": 43}[mask])
+    vocab = ["act0", "act1", "act2", "act3", "stranger"]  # act3 and stranger are unknown to the models
+    k_star = 6
+    pairs = [(i, j) for i in range(k_star) for j in range(i + 1, k_star)]
+    floored = links = 0
+    for _ in range(12):
+        model = random_model(rng, vocab_size=3, k_star=k_star)
+        theta = model.theta.copy()
+        theta[:, int(rng.integers(3))] = 0.0  # one action with no mass: its term is log(EPS)
+        theta /= theta.sum(axis=1, keepdims=True)
+        kept = {key: vec for key, vec in model.phi.items() if rng.random() < 0.6}  # the rest go unseen
+        if mask == "chain":
+            structure = StructureMask.chain(k_star)
+        elif mask == "full":
+            structure = StructureMask.full(k_star)
+        else:
+            structure = StructureMask.of([pair for pair in pairs if rng.random() < 0.5])
+        model = dataclasses.replace(model, theta=theta, phi=kept, structure=structure)
+        assert model.log_theta_mass == [_log(mass) for mass in model.theta.sum(axis=0).tolist()]
+        floored += model.log_theta_mass.count(math.log(EPS))
+        for _ in range(15):
+            inst = random_actions_instance(rng, int(rng.integers(0, k_star + 3)), len(vocab))
+            links += sum(1 for _ in network.scan_link_constraints(inst, structure))
+            got = score_instance(model, inst, vocab)
+            assert got.hex() == reference_score_instance(model, inst, vocab).hex()
+    assert floored == 12 and links > 0

@@ -371,6 +371,15 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_class_names_it_and_the_bundle_classes(self, bundle_path, tmp_path, capsys):
+        # UnknownClass is a KeyError, whose own str() would print only "'zz'"
+        out = tmp_path / "gen.jsonl"
+        code = main(["generate", "--model", str(bundle_path), "--class", "zz", "--count", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no class 'zz'; the bundle has 'assemble', 'brew'\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--count", "-2"]], ids=["negative_count"])
     def test_bad_counts_fail_cleanly(self, bundle_path, tmp_path, capsys, flags):

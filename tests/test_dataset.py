@@ -63,6 +63,56 @@ class TestLoadInstances:
         times = [iv.times for iv in corpus.instances[0].intervals]
         assert times == [(0.0, 2.0), (0.0, 4.0), (5.0, 6.0)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loaded_instances_match_canonicalized_records(self, tmp_path, seed):
+        """Records on a small integer grid (so many intervals tie on (start, end) across
+        actions), timestamps written as ints, floats and -0.0: each loaded instance is the
+        record's ``Instance(...).canonicalized()``, ties in file order, every sign kept."""
+        rng = np.random.default_rng(seed)
+        names = ["pour", "stir", "lift"]
+
+        def timestamp(value):
+            form = int(rng.integers(3))
+            if value == 0 and form == 0:
+                return -0.0
+            return value if form == 1 else float(value)
+
+        lines = []
+        for _ in range(150):
+            intervals = []
+            for _ in range(int(rng.integers(0, 7))):
+                start = int(rng.integers(0, 3))
+                intervals.append({
+                    "action": names[int(rng.integers(len(names)))],
+                    "start": timestamp(start),
+                    "end": timestamp(start + int(rng.integers(1, 3))),
+                })
+            rec = {"intervals": intervals}
+            if rng.random() < 0.8:
+                rec["label"] = ["x", "y"][int(rng.integers(2))]
+            lines.append(json.dumps(rec))
+        corpus = load_instances(write_lines(tmp_path, *lines))
+
+        ids, ties = {}, 0
+        for line, loaded in zip(lines, corpus.instances, strict=True):
+            parsed = json.loads(line)
+            intervals = [
+                Interval(ids.setdefault(e["action"], len(ids) + 1), float(e["start"]), float(e["end"]))
+                for e in parsed["intervals"]
+            ]
+            expected = Instance(parsed.get("label"), tuple(intervals)).canonicalized()
+            file_order = sorted(range(len(intervals)), key=lambda i: (intervals[i].times, i))
+            ties += len(intervals) - len({iv.times for iv in intervals})
+            assert loaded == expected
+            assert loaded.intervals == tuple(intervals[i] for i in file_order)
+            assert [(iv.action, iv.start.hex(), iv.end.hex()) for iv in loaded.intervals] == [
+                (iv.action, iv.start.hex(), iv.end.hex()) for iv in expected.intervals
+            ]
+            assert all(type(iv.start) is float and type(iv.end) is float for iv in loaded.intervals)
+        assert corpus.vocab == list(ids)
+        assert ties > 50
+        assert any(iv.start.hex() == "-0x0.0p+0" for inst in corpus.instances for iv in inst.intervals)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write_lines(tmp_path, record(None, ("a", 0, 1)), "", "   ")
         assert len(load_instances(path)) == 1
@@ -107,6 +157,43 @@ class TestLoadInstances:
         path = write_lines(tmp_path, record(None, ("a", 0, 1)), "[" * 100_000 + "]" * 100_000)
         with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
             load_instances(path)
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("{not json", ParseError, "invalid JSON (Expecting property name enclosed in double quotes)"),
+            ('{"label": "x"}', ParseError, "record must be an object with an 'intervals' list"),
+            ("[]", ParseError, "record must be an object with an 'intervals' list"),
+            ('{"intervals": {}}', ParseError, "record must be an object with an 'intervals' list"),
+            ('{"label": 3, "intervals": []}', ParseError, "label must be a string, got 3"),
+            ('{"intervals": ["a"]}', ParseError, "interval must be an object with a non-empty string 'action'"),
+            ('{"intervals": [{"action": 5, "start": 0, "end": 1}]}', ParseError,
+             "interval must be an object with a non-empty string 'action'"),
+            ('{"intervals": [{"action": "", "start": 0, "end": 1}]}', ParseError,
+             "interval must be an object with a non-empty string 'action'"),
+            ('{"intervals": [{"action": "a", "start": true, "end": 1}]}', ParseError, "start must be a number, got True"),
+            ('{"intervals": [{"action": "a", "end": 1}]}', ParseError, "start must be a number, got None"),
+            ('{"intervals": [{"action": "a", "start": 0, "end": "1"}]}', ParseError, "end must be a number, got '1'"),
+            ('{"intervals": [{"action": "a", "start": NaN, "end": 1}]}', ParseError, "start must be finite, got nan"),
+            ('{"intervals": [{"action": "a", "start": Infinity, "end": 1}]}', ParseError, "start must be finite, got inf"),
+            ('{"intervals": [{"action": "a", "start": 0, "end": -Infinity}]}', ParseError, "end must be finite, got -inf"),
+            ('{"intervals": [{"action": "a", "start": 1e400, "end": 1}]}', ParseError, "start must be finite, got inf"),
+            ('{"intervals": [{"action": "a", "start": 0, "end": 1%s}]}' % ("0" * 400), ParseError,
+             "end must be finite, got 1%s" % ("0" * 400)),
+            ('{"intervals": [{"action": "a", "start": 2, "end": 2}]}', DegenerateInterval,
+             "interval [2.0, 2.0] of action 'a' has start >= end"),
+            ('{"intervals": [{"action": "a", "start": 2.5, "end": -1e300}]}', DegenerateInterval,
+             "interval [2.5, -1e+300] of action 'a' has start >= end"),
+        ],
+    )
+    def test_malformed_records_keep_their_error_type_message_and_line(self, tmp_path, line, error, message):
+        path = write_lines(tmp_path, record(None, ("a", 0, 1)), "", line, record(None, ("a", 0, 1)))
+        with pytest.raises(error) as err:
+            load_instances(path)
+        assert type(err.value) is error
+        assert str(err.value) == f"line 3: {message}"
+        if error is ParseError:
+            assert err.value.line_no == 3
 
     def test_degenerate_interval_carries_line_number(self, tmp_path):
         path = write_lines(

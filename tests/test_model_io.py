@@ -138,6 +138,14 @@ class TestErrors:
             bundle.model_for("nonexistent")
         assert bundle.model_for("brew") is bundle.models["brew"]
 
+    def test_unknown_class_message_names_the_bundle_classes(self):
+        with pytest.raises(UnknownClass) as err:
+            ModelBundle(["a"], ["x", "y"], {}).model_for("zz")
+        assert str(err.value) == "no class 'zz'; the bundle has 'x', 'y'"
+        with pytest.raises(UnknownClass) as err:
+            ModelBundle([], [], {}).model_for("zz")
+        assert str(err.value) == "no class 'zz'; the bundle has none"
+
     def test_wrong_schema_version(self, tmp_path):
         bundle = make_bundle()
         path = tmp_path / "bundle.json"

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibgn import IntervalNetwork, StructureMask, generate, instance_to_network, learning
-from conftest import random_actions_instance, random_instance, random_model, tiny_config
+from ibgn import IntervalNetwork, StructureMask, build_synthetic_corpus, instance_to_network
+from ibgn import classify, generate, learning
+from conftest import random_actions_instance, random_instance, random_model, tiny_config, two_class_models
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -129,3 +130,26 @@ def test_traced_sampling_counts_the_pairs_its_links_read():
     assert counts["network.compute_constraint_calls"] == len(mask) + listed
     # (0, 2), (1, 3) through one middle node each, (0, 3) through two
     assert counts["algebra.compose_sets_calls"] == 4
+
+
+def test_traced_prediction_spans_every_class_score_and_counts_chain_links():
+    """``predict`` must reach ``score_instance`` through the module attribute, once per
+    class, or ``classify.score_instance_us_p50`` would read no spans at all."""
+    models = sorted(two_class_models(k_star=4).items())
+    corpus = build_synthetic_corpus(dict(models), per_class=6, seed=3)
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        for instance in corpus.instances:
+            classify.predict(models, instance, corpus.vocab)
+    finally:
+        tracer.uninstall()
+    spans = {span_id: (name, parent) for span_id, name, _, _, parent, _ in tracer.spans}
+    predicts = [span_id for span_id, (name, _) in spans.items() if name == "classify.predict"]
+    scores = [parent for name, parent in spans.values() if name == "classify.score_instance"]
+    assert len(predicts) == len(corpus) == 12
+    assert sorted(scores) == sorted(predicts * len(models))  # one span per class inside each predict
+    chain_links = sum(min(len(instance), 4) - 1 for instance in corpus.instances)
+    assert all(model.structure == StructureMask.chain(4) for _, model in models)
+    assert tracer.counts["probe"]["network.links_scanned"] == len(models) * chain_links > 0
