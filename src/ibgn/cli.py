@@ -3,10 +3,11 @@
 Subcommands: ``train``, ``predict``, ``eval``, ``generate``, ``perturb`` and
 ``algebra``.  Each accepts only the flags it reads: ``train``, ``eval``,
 ``generate`` and ``perturb`` take ``--seed`` (default 0), and ``train`` and
-``eval`` take ``--jobs`` (default 1).  Identical inputs, flags and seed
-produce byte-identical output files regardless of ``--jobs``.  Set
-``IBGN_LOG`` to ``error``, ``info`` or ``debug`` to control diagnostics on
-stderr.
+``eval`` take ``--jobs`` (default 1) and one flag per ``TrainConfig`` field;
+the refit's clamp bounds are constants with no flag.  Identical inputs,
+flags and seed produce byte-identical output files regardless of
+``--jobs``.  Set ``IBGN_LOG`` to ``error``, ``info`` or ``debug`` to
+control diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -228,8 +229,6 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho", type=float, default=default.rho, dest="rho", help="relation-count smoothing")
     sub.add_argument("--alpha-init", type=float, default=default.alpha_init, dest="alpha_init")
     sub.add_argument("--beta-init", type=float, default=default.beta_init, dest="beta_init")
-    sub.add_argument("--clamp-lo", type=float, default=default.clamp_lo, dest="clamp_lo")
-    sub.add_argument("--clamp-hi", type=float, default=default.clamp_hi, dest="clamp_hi")
     sub.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     _add_seed(sub)
 

@@ -33,7 +33,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ NULL_RELATION_CODE = 7  # relation variables take 7 real values plus null
 _STRUCTURE_MODES = ("learned", "chain", "full")
 _TYPED_FIELDS = (  # numpy scalars register as numbers.Integral / numbers.Real; bool is refused apart
     (("iterations", "burn_in", "avg_window"), numbers.Integral, "an integer"),
-    (("rho", "alpha_init", "beta_init", "clamp_lo", "clamp_hi"), numbers.Real, "a real number"),
+    (("rho", "alpha_init", "beta_init"), numbers.Real, "a real number"),
 )
 
 
@@ -117,8 +117,8 @@ class TrainConfig:
     rho: float = 1e-5
     alpha_init: float = 1.0
     beta_init: float = 0.5
-    clamp_lo: float = 1e-6
-    clamp_hi: float = 1e6
+    clamp_lo: ClassVar[float] = 1e-6  # the refit's bounds on alpha and beta
+    clamp_hi: ClassVar[float] = 1e6
 
     def __post_init__(self) -> None:
         self.validate()
@@ -138,17 +138,13 @@ class TrainConfig:
                 f"iterations ({self.iterations}) must cover burn_in + avg_window "
                 f"({self.burn_in} + {self.avg_window})"
             )
-        if not all(math.isfinite(v) for v in (self.rho, self.alpha_init, self.beta_init, self.clamp_lo)):
-            raise ConfigInvalid("rho, alpha_init, beta_init and clamp_lo must be finite")
-        if self.rho <= 0 or self.alpha_init <= 0 or self.beta_init <= 0:
-            raise ConfigInvalid("rho, alpha_init and beta_init must be positive")
+        if not self.rho > 0:  # NaN fails too
+            raise ConfigInvalid("rho must be positive")
         if not math.isfinite(7 * self.rho):  # phi smoothing adds rho once per member of a 7-relation constraint
             raise ConfigInvalid("rho times 7, the largest constraint size, must be finite")
-        if not 0 < self.clamp_lo <= self.clamp_hi:  # a NaN clamp_hi fails too; +inf means no upper clamp
-            raise ConfigInvalid("clamp bounds must satisfy 0 < lo <= hi")
-        for name in ("alpha_init", "beta_init"):
+        for name in ("alpha_init", "beta_init"):  # the bounds also refuse NaN, infinities and values <= 0
             if not self.clamp_lo <= getattr(self, name) <= self.clamp_hi:
-                raise ConfigInvalid(f"{name} must lie within the clamp bounds [clamp_lo, clamp_hi]")
+                raise ConfigInvalid(f"{name} must lie within the clamp bounds [{self.clamp_lo:g}, {self.clamp_hi:g}]")
 
 
 @dataclass(eq=False)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from .algebra import RelationSet
+from .algebra import FULL_SET, RelationSet
 from .errors import BundleInvalid, UnknownClass
 from .generate import ClassModel
 from .network import StructureMask
@@ -92,10 +92,22 @@ def _reals(values) -> List[float]:
     return [float(v) for v in values]
 
 
+# each non-empty relation set by its spelling in a saved bundle: canonical member order, which the
+# phi ``probs`` follow, without spaces or repeats
+_CONSTRAINT_BITS = {RelationSet(bits).text(): bits for bits in range(1, FULL_SET.bits + 1)}
+
+
+def _constraint(text) -> int:
+    bits = _CONSTRAINT_BITS.get(text)
+    if bits is None:
+        raise ValueError(f"expected a non-empty constraint in canonical order, not {text!r}")
+    return bits
+
+
 def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel:
     phi = {}
     for entry in obj["phi"]:
-        key = (_int(entry["i"]), _int(entry["j"]), RelationSet.from_text(entry["constraint"]).bits)
+        key = (_int(entry["i"]), _int(entry["j"]), _constraint(entry["constraint"]))
         if key in phi:
             raise ValueError(f"phi key {key} repeats")
         phi[key] = _reals(entry["probs"])
@@ -139,7 +151,8 @@ def load_bundle(path) -> ModelBundle:
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
     deeply, for another schema version or shape, for a ``vocab`` that is not
     a list of distinct non-empty strings or ``classes`` that are not distinct
-    strings, for an integer or real field not written as ``save_bundle`` does,
+    strings, for ``models`` entries that ``classes`` does not name, for an
+    integer, real or constraint field not written as ``save_bundle`` does,
     for a repeated phi key, or for parameters that do not decode or validate."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -160,6 +173,8 @@ def load_bundle(path) -> ModelBundle:
         if not _distinct_strings(classes):
             raise ValueError("classes must be a list of distinct strings")
         models = {name: _decode_model(document["models"][name], vocab) for name in classes}
+        if len(document["models"]) != len(models):
+            raise ValueError(f"models not named in classes: {[k for k in document['models'] if k not in models]}")
     except KeyError as exc:
         raise BundleInvalid(f"model bundle has no entry {exc}") from exc
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:

@@ -123,6 +123,8 @@ MALFORMED_BUNDLE_CASES = (
     "phi_i_past_vocab", "k_star_float", "k_star_string", "size_count_float", "size_count_bool",
     "size_key_padded", "structure_float", "phi_i_float", "phi_key_repeated",
     "alpha_bool", "alpha_text", "beta_underscore", "theta_padded", "phi_probs_number",
+    "model_without_class", "constraint_reordered", "constraint_spaced", "constraint_repeated",
+    "constraint_empty",
 )
 
 
@@ -155,6 +157,9 @@ def malformed_bundle(valid: dict, case: str):
         document["classes"].append(document["classes"][0])
     elif case == "vocab_empty_list":
         document["vocab"] = []
+    elif case == "model_without_class":
+        document["models"]["ghost"] = copy.deepcopy(document["models"][document["classes"][0]])
+        document["models"]["junk"] = 17
     else:
         model = document["models"][document["classes"][0]]
         sizes = list(model["size_histogram"])
@@ -198,6 +203,16 @@ def malformed_bundle(valid: dict, case: str):
             model["theta"][0][0] = " " + model["theta"][0][0]
         elif case == "phi_probs_number":
             model["phi"][0]["probs"] = [float(p) for p in model["phi"][0]["probs"]]
+        # constraints that RelationSet.from_text reads but save_bundle never writes
+        elif case == "constraint_reordered":
+            model["phi"][0]["constraint"] = ",".join(reversed(model["phi"][0]["constraint"].split(",")))
+        elif case == "constraint_spaced":
+            model["phi"][0]["constraint"] = " " + " , ".join(model["phi"][0]["constraint"].split(","))
+        elif case == "constraint_repeated":
+            symbols = model["phi"][0]["constraint"].split(",")
+            model["phi"][0]["constraint"] = ",".join(symbols[:1] + symbols)
+        elif case == "constraint_empty":
+            model["phi"][0]["constraint"] = ""
         else:
             raise ValueError(case)
     return document

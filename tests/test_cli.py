@@ -6,8 +6,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conftest import (
     MALFORMED_BUNDLE_CASES, child_env, malformed_bundle, random_model, two_class_models,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TRAIN_FLAGS = [
     "--structure", "chain", "--iters", "30", "--burnin", "5", "--avg-window", "20",
 ]
@@ -109,11 +112,11 @@ class TestTrain:
         args = build_parser().parse_args(
             ["train", "--input", "in.jsonl", "--out", "out.json", "--structure", "full",
              "--iters", "70", "--burnin", "20", "--avg-window", "30", "--rho", "0.25",
-             "--alpha-init", "2.5", "--beta-init", "0.75", "--clamp-lo", "0.001", "--clamp-hi", "50"]
+             "--alpha-init", "2.5", "--beta-init", "0.75"]
         )
         assert _config_from_args(args) == TrainConfig(
             iterations=70, burn_in=20, avg_window=30, structure="full", rho=0.25,
-            alpha_init=2.5, beta_init=0.75, clamp_lo=0.001, clamp_hi=50.0,
+            alpha_init=2.5, beta_init=0.75,
         )
 
     def test_invalid_config_fails_cleanly(self, corpus_path, tmp_path, capsys):
@@ -505,7 +508,7 @@ def every_flag_argv(corpus_path, bundle_path, out_dir):
     """One argv per command, passing every flag that command accepts."""
     corpus, bundle = str(corpus_path), str(bundle_path)
     training = [*TRAIN_FLAGS, "--rho", "0.5", "--alpha-init", "1.5", "--beta-init", "0.25",
-                "--clamp-lo", "1e-5", "--clamp-hi", "1e5", "--jobs", "1", "--seed", "3"]
+                "--jobs", "1", "--seed", "3"]
     return {
         "train": ["train", "--input", corpus, "--out", str(out_dir / "bundle.json"), *training],
         "predict": ["predict", "--model", bundle, "--input", corpus, "--out", str(out_dir / "pred.csv")],
@@ -522,11 +525,12 @@ def every_flag_argv(corpus_path, bundle_path, out_dir):
     }
 
 
-# flags that were accepted and never read; each now ends in a usage error
+# flags that were accepted and never read, and the refit's clamp bounds, now
+# constants; each ends in a usage error
 REMOVED_FLAGS = (
     [(command, flag) for command in ("predict", "algebra-compose", "algebra-classes", "algebra-check")
      for flag in ("--jobs", "--seed")]
-    + [("generate", "--jobs"), ("perturb", "--jobs")]
+    + [("generate", "--jobs"), ("perturb", "--jobs"), ("train", "--clamp-lo"), ("eval", "--clamp-hi")]
 )
 
 
@@ -551,6 +555,38 @@ class TestFlags:
             main(argv + [flag, "1"])
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_synopsis_flags():
+    """Per command, the flags the README "CLI" synopsis names; ``eval``'s
+    ``[training flags as above]`` stands for the bracketed flags of ``train``."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    synopsis = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    flags, training = {}, set()
+    for line in synopsis.splitlines():
+        if line.startswith("ibgn "):
+            name = line.split()[1]
+            command = flags.setdefault(name, set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+        if name == "train":
+            training.update(re.findall(r"--[a-z][a-z-]*", "".join(re.findall(r"\[[^]]*\]", line))))
+        if "[training flags as above]" in line:
+            command.update(training)
+    return flags
+
+
+def parser_flags():
+    """Per command, the flags ``build_parser()`` accepts, without ``--help``."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+
+
+class TestReadme:
+    def test_synopsis_names_exactly_the_parser_flags(self):
+        assert readme_synopsis_flags() == parser_flags()
 
 
 class TestEntryPoint:

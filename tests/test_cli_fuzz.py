@@ -131,10 +131,12 @@ def test_mutated_bundle_fails_cleanly(files, data):
 
 # one numeric flag at a time, at edge values; never a large --jobs, which could start that many processes
 FLOATS = ("nan", "inf", "-inf", "-1.0", "0.0", "1e-320", "1e308")
+# the refit's clamp bounds, now constants: whatever the value, the flag is a usage error
+REMOVED_FLOAT_FLAGS = ("--clamp-lo", "--clamp-hi")
 SHORT_RUN = ["--iters", "3", "--burnin", "1", "--avg-window", "2"]
 FLAG_CASES = (
     [(command, flag, value) for command in ("train", "eval")
-     for flag in ("--rho", "--alpha-init", "--beta-init", "--clamp-lo", "--clamp-hi") for value in FLOATS]
+     for flag in ("--rho", "--alpha-init", "--beta-init", *REMOVED_FLOAT_FLAGS) for value in FLOATS]
     + [(command, "--rate", value)
        for command in ("perturb-labels", "perturb-durations", "eval-labels", "eval-durations") for value in FLOATS]
     + [(command, flag, value) for command in ("train", "eval")
@@ -169,7 +171,16 @@ def flag_commands(files):
 
 @pytest.mark.parametrize("command, flag, value", FLAG_CASES)
 def test_numeric_flag_fails_cleanly(files, command, flag, value):
-    run_cli(flag_commands(files)[command] + [f"{flag}={value}"])
+    argv = flag_commands(files)[command] + [f"{flag}={value}"]
+    if flag not in REMOVED_FLOAT_FLAGS:
+        run_cli(argv)
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert err.getvalue().splitlines()[-1].endswith(f"error: unrecognized arguments: {flag}={value}")
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "eval-labels", "eval-durations", "perturb-labels",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -104,8 +105,17 @@ class TestTrainConfig:
     def test_defaults_are_valid(self):
         TrainConfig().validate()
 
-    def test_infinite_clamp_hi_means_no_upper_clamp(self):
-        TrainConfig(clamp_hi=math.inf, beta_init=1e308).validate()
+    @pytest.mark.parametrize("name", ["clamp_lo", "clamp_hi"])
+    def test_clamp_bounds_are_class_constants(self, name):
+        assert (TrainConfig.clamp_lo, TrainConfig.clamp_hi) == (1e-6, 1e6)
+        assert len(dataclasses.fields(TrainConfig)) == 7
+        with pytest.raises(TypeError):
+            TrainConfig(**{name: 0.1})
+
+    def test_initial_values_may_sit_on_the_clamp_bounds(self):
+        TrainConfig(alpha_init=1e-6, beta_init=1e6)
+        with pytest.raises(ConfigInvalid, match=r"^beta_init must lie within the clamp bounds \[1e-06, 1e\+06\]$"):
+            TrainConfig(beta_init=1.5e6)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -118,20 +128,15 @@ class TestTrainConfig:
             dict(rho=0.0),
             dict(alpha_init=-1.0),
             dict(beta_init=0.0),
-            dict(clamp_lo=0.0),
-            dict(clamp_lo=2.0, clamp_hi=1.0),
             dict(rho=math.inf),
             dict(rho=math.nan),
             dict(alpha_init=math.nan),
-            dict(alpha_init=math.inf, clamp_hi=math.inf),
+            dict(alpha_init=math.inf),
             dict(beta_init=math.nan),
-            dict(beta_init=math.inf, clamp_hi=math.inf),
-            dict(clamp_lo=math.nan),
-            dict(clamp_lo=math.inf, clamp_hi=math.inf),
-            dict(clamp_hi=math.nan),
+            dict(beta_init=math.inf),
             dict(alpha_init=1e-320),
             dict(beta_init=1e308),
-            dict(alpha_init=2.0, clamp_hi=1.0),
+            dict(alpha_init=2e6),
             dict(beta_init=1e-7),
             dict(rho=1e308),
         ],
@@ -149,7 +154,6 @@ class TestTrainConfig:
             (dict(iterations="3000"), "iterations"),
             (dict(rho="0.1"), "rho"),
             (dict(alpha_init=True), "alpha_init"),
-            (dict(clamp_hi=None), "clamp_hi"),
         ],
     )
     def test_wrong_field_type_names_the_field(self, kwargs, name):
@@ -497,7 +501,7 @@ class TestPolyaStep:
     @settings(max_examples=60, deadline=None)
     @given(recorded_windows())
     def test_matches_digamma_reference(self, state):
-        config = TrainConfig(clamp_lo=1e-3, clamp_hi=1e3)
+        config = TrainConfig()
         copy = SamplerState(**{**vars(state), "alpha": state.alpha.copy(), "beta": state.beta.copy()})
         for steps in (1, 99):
             for _ in range(steps):
@@ -563,14 +567,28 @@ class TestUpdateHyperparams:
             occupancy, first_seats, action_counts,
             alpha=[1.0, 1.0], beta=np.full((2, 2), 1.0),
         )
-        config = TrainConfig(clamp_lo=0.5, clamp_hi=2.0)
-        for _ in range(60):
-            update_hyperparams(state, config)
+        for _ in range(60):  # update_hyperparams's two steps, at bounds narrower than TrainConfig's
+            state.alpha = learning._polya_step(
+                state.alpha, state.window_alpha, state.window_sweeps * state.length_hist, 0.5, 2.0
+            )
+            state.beta = learning._polya_step(state.beta, state.window_action, state.window_table, 0.5, 2.0)
         assert state.alpha[0] == 2.0  # hit the upper clamp
         assert state.alpha[1] == 0.5  # no occupancy beyond first seats: lower clamp
         assert state.beta[0, 0] == 2.0  # dominant action hits the upper clamp
         assert 0.5 <= state.beta[0, 1] <= 2.0
         np.testing.assert_array_equal(state.beta[1], [1.0, 1.0])  # no samples: unchanged
+
+    def test_refit_clamps_to_the_config_constants(self):
+        # the same zero-dispersion samples, with table 0's beta row on the upper
+        # bound: unclamped, its dominant action would step to 1.2e6
+        state = state_with_samples(
+            [[[5, 0]], [[5, 0]]], [[0], [0]], [[[[3, 2], [0, 0]]], [[[3, 2], [0, 0]]]],
+            alpha=[1.0, 1.0], beta=[[1e6, 1e6], [1.0, 1.0]],
+        )
+        update_hyperparams(state, TrainConfig())
+        assert state.alpha[1] == 1e-6  # no occupancy beyond first seats: lower clamp
+        assert state.beta[0, 0] == 1e6  # upper clamp
+        assert state.beta[0, 1] < 1e6
 
     def test_fixed_point_factor_converges_to_one(self):
         occupancy, first_seats, action_counts = overdispersed_samples(40)

@@ -48,6 +48,12 @@ MALFORMED_BUNDLE_MESSAGES = {
     "theta_padded": MALFORMED + "reals must be strings without whitespace or underscores, not "
         "[' 0.59999999999999998', '0.39999999999800001', '9.9999999999999998e-13', '9.9999999999999998e-13']",
     "phi_probs_number": MALFORMED + "sequence item 0: expected str instance, float found",
+    "model_without_class": MALFORMED + "models not named in classes: ['ghost', 'junk']",
+    "constraint_reordered": MALFORMED + "expected a non-empty constraint in canonical order, not 'eq,f,c,s,o,m,b'",
+    "constraint_spaced": MALFORMED
+        + "expected a non-empty constraint in canonical order, not ' b , m , o , s , c , f , eq'",
+    "constraint_repeated": MALFORMED + "expected a non-empty constraint in canonical order, not 'b,b,m,o,s,c,f,eq'",
+    "constraint_empty": MALFORMED + "expected a non-empty constraint in canonical order, not ''",
 }
 
 
