@@ -13,8 +13,7 @@ and force the uniform-within-constraint fallback on links that touch them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NoModels
 from .generate import EPS, ClassModel, _log
@@ -23,8 +22,7 @@ from .network import Instance, scan_link_constraints
 __all__ = ["Prediction", "score_instance", "predict"]
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Classification outcome: winning label, per-class scores, margin."""
 
     label: str

@@ -3,14 +3,17 @@
 All real-valued parameters are written as decimal text with 17 significant
 digits, which round-trips IEEE doubles bit-exactly, and every collection is
 emitted in a fixed order — so identical models produce identical bytes and
-``load -> predict`` reproduces in-memory predictions exactly.
+``load -> predict`` reproduces in-memory predictions exactly.  The text is
+laid out byte for byte as ``json.dumps(document, indent=2)`` plus a newline
+would lay it out, by a writer that knows the bundle's shape.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _string
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import FULL_SET, RelationSet
 from .errors import BundleInvalid, UnknownClass
@@ -24,14 +27,6 @@ SCHEMA_VERSION = 1
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _fmt_vector(vec) -> List[str]:
-    return [_fmt(v) for v in vec]
-
-
-def _fmt_matrix(mat) -> List[List[str]]:
-    return [_fmt_vector(row) for row in mat]
 
 
 @dataclass
@@ -48,29 +43,51 @@ class ModelBundle:
         return self.models[name]
 
 
-def _encode_model(model: ClassModel) -> Dict[str, object]:
+def _array(items: Iterable[str], pad: str) -> str:
+    """JSON texts ``items`` as a list laid out at indent ``pad``, as ``json.dumps(..., indent=2)`` does."""
+    inner = "\n" + pad + "  "
+    text = ("," + inner).join(items)
+    return "[" + inner + text + "\n" + pad + "]" if text else "[]"
+
+
+def _object(pairs: Iterable[Tuple[str, str]], pad: str) -> str:
+    """Keys with JSON texts as an object laid out at indent ``pad``, as ``json.dumps(..., indent=2)`` does."""
+    inner = "\n" + pad + "  "
+    text = ("," + inner).join([f"{_string(key)}: {value}" for key, value in pairs])
+    return "{" + inner + text + "\n" + pad + "}" if text else "{}"
+
+
+def _reals_text(values, pad: str) -> str:
+    """Floats as a list of ``.17g`` strings, text that round-trips each double."""
+    return _array([f'"{v:.17g}"' for v in values], pad)
+
+
+def _encode_model(model: ClassModel, pad: str) -> str:
+    inner, row, cell = pad + "  ", pad + "    ", pad + "      "
+    # every phi entry has one layout: laid out once, with a %s for each value
+    entry = _object([(name, "%s") for name in ("i", "j", "constraint", "probs")], row)
     phi_entries = []
-    for (i, j, bits), probs in sorted(model.phi.items()):
-        phi_entries.append(
-            {
-                "i": i,
-                "j": j,
-                "constraint": RelationSet(bits).text(),
-                "probs": _fmt_vector(probs),
-            }
-        )
-    return {
-        "k_star": model.k_star,
-        "ell": model.ell,
-        "alpha": _fmt_vector(model.alpha),
-        "beta": _fmt_matrix(model.beta),
-        "theta": _fmt_matrix(model.theta),
-        "structure": [[i, j] for i, j in model.structure.sorted_links()],
-        "phi": phi_entries,
-        "size_histogram": {
-            str(size): count for size, count in sorted(model.size_histogram.items())
-        },
-    }
+    for key, probs in sorted(model.phi.items()):
+        i, j, bits = key
+        constraint = _CONSTRAINT_TEXT.get(bits)
+        if constraint is None:
+            raise ValueError(f"phi key {key} has constraint bits outside 1..{FULL_SET.bits}")
+        phi_entries.append(entry % (i, j, _string(constraint), _reals_text(probs, cell)))
+    links = [_array((str(i), str(j)), row) for i, j in model.structure.sorted_links()]
+    sizes = [(str(size), str(count)) for size, count in sorted(model.size_histogram.items())]
+    return _object(
+        (
+            ("k_star", str(model.k_star)),
+            ("ell", str(model.ell)),
+            ("alpha", _reals_text(model.alpha.tolist(), inner)),
+            ("beta", _array([_reals_text(values, row) for values in model.beta.tolist()], inner)),
+            ("theta", _array([_reals_text(values, row) for values in model.theta.tolist()], inner)),
+            ("structure", _array(links, inner)),
+            ("phi", _array(phi_entries, inner)),
+            ("size_histogram", _object(sizes, inner)),
+        ),
+        pad,
+    )
 
 
 def _int(value) -> int:
@@ -95,6 +112,8 @@ def _reals(values) -> List[float]:
 # each non-empty relation set by its spelling in a saved bundle: canonical member order, which the
 # phi ``probs`` follow, without spaces or repeats
 _CONSTRAINT_BITS = {RelationSet(bits).text(): bits for bits in range(1, FULL_SET.bits + 1)}
+# and the spelling save_bundle writes for each bits
+_CONSTRAINT_TEXT = {bits: text for text, bits in _CONSTRAINT_BITS.items()}
 
 
 def _constraint(text) -> int:
@@ -130,16 +149,30 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    """Write a bundle; identical parameters give byte-identical files."""
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "vocab": list(bundle.vocab),
-        "classes": list(bundle.classes),
-        "models": {name: _encode_model(bundle.models[name]) for name in bundle.classes},
-    }
+    """Write a bundle; identical parameters give byte-identical files.  Raise
+    ``ValueError``, before the file is opened, when ``classes`` repeats a name
+    or differs from the keys of ``models``, or when a phi key's constraint bits
+    fall outside 1..127."""
+    if len(set(bundle.classes)) != len(bundle.classes):
+        raise ValueError(f"classes repeat a name: {bundle.classes}")
+    missing = [name for name in bundle.classes if name not in bundle.models]
+    if missing:
+        raise ValueError(f"classes without a model: {missing}")
+    unnamed = [name for name in bundle.models if name not in bundle.classes]
+    if unnamed:
+        raise ValueError(f"models not named in classes: {unnamed}")
+    models = [(name, _encode_model(bundle.models[name], "    ")) for name in bundle.classes]
+    text = _object(
+        (
+            ("schema_version", str(SCHEMA_VERSION)),
+            ("vocab", _array(map(_string, bundle.vocab), "  ")),
+            ("classes", _array(map(_string, bundle.classes), "  ")),
+            ("models", _object(models, "  ")),
+        ),
+        "",
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _distinct_strings(names) -> bool:

@@ -208,6 +208,13 @@ class TestPredict:
         assert pred.margin == 0.0
         assert isinstance(pred, Prediction)
 
+    def test_prediction_is_an_immutable_tuple_of_label_scores_margin(self):
+        pred = predict([("only", chain_model())], make_instance((1, 0, 1)), ["lift", "drop"])
+        assert Prediction._fields == ("label", "scores", "margin")
+        assert tuple(pred) == (pred.label, pred.scores, pred.margin)
+        with pytest.raises(AttributeError):
+            pred.label = "other"
+
     def test_no_models_rejected(self):
         with pytest.raises(NoModels):
             predict([], make_instance((1, 0, 1)), ["lift"])

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ibgn import ModelBundle, load_bundle, save_bundle
+from ibgn import FULL_SET, ModelBundle, RelationSet, StructureMask, load_bundle, save_bundle
 from ibgn.errors import BundleInvalid, UnknownClass
 from ibgn.model_io import SCHEMA_VERSION
-from conftest import MALFORMED_BUNDLE_CASES, malformed_bundle, phi_is_float_tuples, random_model, two_class_models
+from conftest import (
+    MALFORMED_BUNDLE_CASES,
+    malformed_bundle,
+    phi_is_float_tuples,
+    random_model,
+    two_class_models,
+    uniform_model,
+)
 
 
 # The exact text each malformed case of make_bundle's document raises.
@@ -137,6 +145,89 @@ class TestRoundTrip:
         assert set(entry) == {"i", "j", "constraint", "probs"}
 
 
+def written_text(tmp_path, bundle) -> str:
+    """The file ``save_bundle`` writes for ``bundle``, which must be ASCII."""
+    path = tmp_path / "bundle.json"
+    save_bundle(path, bundle)
+    return path.read_bytes().decode("ascii")
+
+
+def one_model_bundle(model) -> ModelBundle:
+    return ModelBundle(vocab=list(model.action_vocab), classes=["only"], models={"only": model})
+
+
+# names that json escapes: quote, backslash, control characters, non-ASCII and a non-BMP character
+AWKWARD_NAMES = ('say "hi"', "back\\slash", "tab\there\nline\x00\x1f\x7f", "caf\u00e9", "smile \U0001F600", "/")
+
+
+class TestLayout:
+    """The file is ``json.dumps(document, indent=2)`` plus a newline, byte for byte."""
+
+    @staticmethod
+    def assert_json_layout(text: str) -> None:
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+    def test_escaped_names(self, tmp_path):
+        model = uniform_model(vocab=AWKWARD_NAMES, k_star=3, structure="chain")
+        models = {name: model for name in reversed(AWKWARD_NAMES)}
+        text = written_text(tmp_path, ModelBundle(list(AWKWARD_NAMES), list(models), models))
+        self.assert_json_layout(text)
+        assert "\\ud83d\\ude00" in text  # the non-BMP character as a surrogate pair
+        loaded = load_bundle(tmp_path / "bundle.json")
+        assert loaded.vocab == list(AWKWARD_NAMES) and loaded.classes == list(models)
+
+    def test_empty_structure_and_no_phi(self, tmp_path):
+        model = dataclasses.replace(uniform_model(k_star=1), structure=StructureMask.of([]))
+        text = written_text(tmp_path, one_model_bundle(model))
+        self.assert_json_layout(text)
+        assert '"structure": [],' in text and '"phi": [],' in text
+        assert load_bundle(tmp_path / "bundle.json").models["only"].structure == StructureMask.of([])
+
+    def test_empty_containers(self, tmp_path):
+        self.assert_json_layout(written_text(tmp_path, ModelBundle([], [], {})))
+        model = dataclasses.replace(
+            uniform_model(k_star=1), beta=np.empty((1, 0)), theta=np.empty((1, 0)), action_vocab=(), size_histogram={}
+        )
+        text = written_text(tmp_path, one_model_bundle(model))
+        self.assert_json_layout(text)
+        assert '"beta": [\n        []\n      ],' in text and '"size_histogram": {}' in text
+
+    def test_every_constraint_spelling(self, tmp_path):
+        spellings = {bits: RelationSet(bits).text() for bits in range(1, FULL_SET.bits + 1)}
+        phi = {(1, 2, bits): [1.0 / bits.bit_count()] * bits.bit_count() for bits in spellings}
+        model = dataclasses.replace(uniform_model(k_star=4), phi=phi)
+        text = written_text(tmp_path, one_model_bundle(model))
+        self.assert_json_layout(text)
+        written = [entry["constraint"] for entry in json.loads(text)["models"]["only"]["phi"]]
+        assert written == [spellings[bits] for bits in sorted(spellings)]
+        save_bundle(tmp_path / "again.json", load_bundle(tmp_path / "bundle.json"))
+        assert (tmp_path / "again.json").read_text() == text
+
+    def test_extreme_floats(self, tmp_path):
+        model = uniform_model(k_star=3)
+        alpha = np.array([5e-324, 1e300, 1.0 / 3.0])
+        beta = np.array([[1e300, 5e-324], [0.5, 0.5], [2.5, 1e-300]])
+        theta = np.array([[1.0, -0.0], [5e-324, 1.0], [0.5, 0.5]])
+        phi = {(1, 2, 0b11): (1.0, -0.0), (2, 1, 0b101): (5e-324, 1.0), (2, 2, 0b1): (1.0,)}
+        model = dataclasses.replace(model, alpha=alpha, beta=beta, theta=theta, phi=phi)
+        text = written_text(tmp_path, one_model_bundle(model))
+        self.assert_json_layout(text)
+        assert '"-0"' in text and '"4.9406564584124654e-324"' in text and '"1.0000000000000001e+300"' in text
+        loaded = load_bundle(tmp_path / "bundle.json").models["only"]
+        for name in ("alpha", "beta", "theta"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+        assert {key: [v.hex() for v in vec] for key, vec in loaded.phi.items()} == {
+            key: [v.hex() for v in vec] for key, vec in model.phi.items()
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        vocab = [f"act{i}" for i in range(3)]
+        models = {f"class{n}": random_model(rng, vocab_size=3, k_star=int(rng.integers(1, 7))) for n in range(3)}
+        self.assert_json_layout(written_text(tmp_path, ModelBundle(vocab, list(models), models)))
+
+
 class TestErrors:
     def test_unknown_class(self):
         bundle = make_bundle()
@@ -193,3 +284,32 @@ class TestErrors:
 
     def test_every_malformed_case_has_a_pinned_message(self):
         assert tuple(MALFORMED_BUNDLE_MESSAGES) == MALFORMED_BUNDLE_CASES
+
+    @pytest.mark.parametrize("bits", [0, 128, -1])
+    def test_save_refuses_constraint_bits_outside_the_algebra(self, tmp_path, bits):
+        model = uniform_model(k_star=3)
+        model.phi[(1, 2, bits)] = (1.0,)
+        path = tmp_path / "bundle.json"
+        path.write_text("kept")
+        with pytest.raises(ValueError) as excinfo:
+            save_bundle(path, one_model_bundle(model))
+        assert str(excinfo.value) == f"phi key (1, 2, {bits}) has constraint bits outside 1..127"
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            (["assemble", "brew", "ghost"], "classes without a model: ['ghost']"),
+            (["brew"], "models not named in classes: ['assemble']"),
+            (["assemble", "brew", "assemble"], "classes repeat a name: ['assemble', 'brew', 'assemble']"),
+        ],
+        ids=["class_without_model", "model_without_class", "class_repeated"],
+    )
+    def test_save_refuses_classes_that_do_not_match_the_models(self, tmp_path, classes, message):
+        models = two_class_models()
+        path = tmp_path / "bundle.json"
+        path.write_text("kept")
+        with pytest.raises(ValueError) as excinfo:
+            save_bundle(path, ModelBundle(list(models["brew"].action_vocab), classes, models))
+        assert str(excinfo.value) == message
+        assert path.read_text() == "kept"
