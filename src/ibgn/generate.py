@@ -13,7 +13,9 @@ A class model couples three ingredients:
 
 Sampling walks the mask's :attr:`~ibgn.network.StructureMask.plan`: it seats
 node ``n`` before the first link that ends at it, composes the pairs listed for
-that link and draws the link inside the constraint they allow.
+that link and draws the link inside the constraint they allow.  Each run of
+nodes seated at once takes one block of uniforms (seat, action, seat, ...),
+and a node's action is a bisection of its table's cumulative θ row.
 ``realize_timestamps`` checks consistency by an all-pairs constraint walk only
 when a relation skips a node, then places each node by a depth-first search over
 the box of grid points its fixed relations leave it; ``sample_instance`` runs
@@ -23,14 +25,15 @@ the size -> network -> timestamps loop.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import RelationSet, relation_of
+from .algebra import FULL_SET, RelationSet, relation_of
 from .errors import EmptyConstraint, Unrealizable
 from .network import Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
@@ -61,8 +64,9 @@ class ClassModel:
     the action with vocabulary id ``i + 1``; ``phi`` maps
     ``(action_i, action_j, constraint_bits)`` to a probability vector over
     the constraint's members in canonical relation order, held as a tuple
-    of floats made once from any sequence.  ``theta_rows`` and ``alpha_list``
-    are plain-list copies, made once, that the sampler draws from.
+    of floats made once from any sequence.  ``theta_cumulative`` holds, per
+    table, the left-to-right running sums of all but the last θ entry, and
+    ``alpha_list`` is α as a list; the sampler draws from both, made once.
     """
 
     k_star: int
@@ -85,7 +89,8 @@ class ClassModel:
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
         # per action: the log of its total mass over the tables, the term scoring adds per interval
         self.log_theta_mass = [_log(mass) for mass in self.theta.sum(axis=0).tolist()]
-        self.theta_rows = self.theta.tolist()
+        # per table: the running sums of all but the last theta entry, which the sampler bisects
+        self.theta_cumulative = [list(accumulate(row[:-1])) for row in self.theta.tolist()]
         self.alpha_list = self.alpha.tolist()
 
     @property
@@ -121,12 +126,13 @@ class ClassModel:
         if not np.allclose(self.theta.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("theta rows must sum to 1")
         for (i, j, bits), vec in self.phi.items():
-            members = RelationSet(bits)
+            if type(bits) is not int or not 1 <= bits <= FULL_SET.bits:
+                raise ValueError(f"phi key {(i, j, bits)} has constraint bits outside 1..{FULL_SET.bits}")
             if not (1 <= i <= self.M and 1 <= j <= self.M):
                 raise ValueError(f"phi key ({i}, {j}) outside the vocabulary")
             if not all(map(math.isfinite, vec)):
                 raise ValueError(f"phi vector for {(i, j, bits)} must be finite")
-            if len(vec) != len(members) or any(v < 0 for v in vec):
+            if len(vec) != bits.bit_count() or any(v < 0 for v in vec):
                 raise ValueError(f"phi vector for {(i, j, bits)} has wrong support")
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise ValueError(f"phi vector for {(i, j, bits)} must sum to 1")
@@ -196,10 +202,11 @@ def count_seat(occupancy: List[float], table: int) -> None:
         occupancy[table] += 1.0
 
 
-def seat_next(occupancy: List[float], alpha: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw the next node's table from the seating prior and count it in ``occupancy``."""
+def seat_next(occupancy: List[float], alpha: Sequence[float], uniform: float) -> int:
+    """The next node's table from the seating prior at one ``uniform`` in [0, 1),
+    counted in ``occupancy``."""
     weights = _crp_weights(occupancy, alpha)
-    table = _draw(weights, rng.random() * sum(weights))
+    table = _draw(weights, uniform * sum(weights))
     count_seat(occupancy, table)
     return table
 
@@ -217,11 +224,16 @@ def sample_network(model: ClassModel, k: int, rng: np.random.Generator) -> Inter
         raise ValueError(f"cannot sample {k} nodes from a model with k_star {model.k_star}")
     occupancy: List[float] = []
     actions: List[int] = []
-    theta_rows, alpha = model.theta_rows, model.alpha_list
+    cumulative, alpha = model.theta_cumulative, model.alpha_list
 
     def seat_through(last: int) -> None:
-        while len(actions) <= last:
-            actions.append(_draw(theta_rows[seat_next(occupancy, alpha, rng)], rng.random()) + 1)
+        count = last + 1 - len(actions)
+        if count <= 0:
+            return
+        # one block of uniforms for the nodes seated here, in the order seat, action, seat, ...
+        uniforms = iter(rng.random(2 * count).tolist())
+        for seat_u, action_u in zip(uniforms, uniforms):
+            actions.append(bisect_right(cumulative[seat_next(occupancy, alpha, seat_u)], action_u) + 1)
 
     x: Dict[Tuple[int, int], RelationSet] = {}
     relations = {}

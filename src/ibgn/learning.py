@@ -285,7 +285,7 @@ def run_gibbs(
     for inst_actions, seats in zip(actions, state.assignments):
         occupancy: List[float] = []
         for a in inst_actions:
-            z = seat_next(occupancy, alpha, rng)
+            z = seat_next(occupancy, alpha, rng.random())
             seats.append(z)
             na[z][a] += 1.0
             rows[z] += 1.0

@@ -151,8 +151,8 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
 def save_bundle(path, bundle: ModelBundle) -> None:
     """Write a bundle; identical parameters give byte-identical files.  Raise
     ``ValueError``, before the file is opened, when ``classes`` repeats a name
-    or differs from the keys of ``models``, or when a phi key's constraint bits
-    fall outside 1..127."""
+    or differs from the keys of ``models``, when a model's ``action_vocab`` is
+    not ``vocab``, or when a phi key's constraint bits fall outside 1..127."""
     if len(set(bundle.classes)) != len(bundle.classes):
         raise ValueError(f"classes repeat a name: {bundle.classes}")
     missing = [name for name in bundle.classes if name not in bundle.models]
@@ -161,6 +161,11 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     unnamed = [name for name in bundle.models if name not in bundle.classes]
     if unnamed:
         raise ValueError(f"models not named in classes: {unnamed}")
+    vocab = tuple(bundle.vocab)
+    for name in bundle.classes:
+        own = bundle.models[name].action_vocab
+        if own != vocab:
+            raise ValueError(f"model {name!r} has action vocabulary {list(own)}, not {list(vocab)}")
     models = [(name, _encode_model(bundle.models[name], "    ")) for name in bundle.classes]
     text = _object(
         (

@@ -190,6 +190,38 @@ def oracle_networks(count_per_kind: int = 80):
         yield IntervalNetwork(actions=observed.actions, relations=kept)
 
 
+class FixedUniforms:
+    """Stands in for a ``numpy.random.Generator``: ``random`` hands out the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        taken, self.values = self.values[:size], self.values[size:]
+        return np.array(taken)
+
+
+def wide_vocab_model(rng: np.random.Generator, vocab_size: int = 60, k_star: int = 12) -> ClassModel:
+    """A model with long theta rows, about a third of their entries zero, and empty phi."""
+    theta = rng.random((k_star, vocab_size)) * (rng.random((k_star, vocab_size)) < 0.7)
+    theta[:, 0] += 0.01  # no row is all zeros
+    model = ClassModel(
+        k_star=k_star,
+        ell=k_star,
+        alpha=rng.random(k_star) + 0.5,
+        beta=np.full((k_star, vocab_size), 0.5),
+        theta=theta / theta.sum(axis=1, keepdims=True),
+        structure=StructureMask.of([]),
+        phi={},
+        action_vocab=tuple(f"act{i}" for i in range(vocab_size)),
+        size_histogram={k_star: 1},
+    )
+    model.validate()
+    return model
+
+
 class TestCrpTableDistribution:
     def test_worked_example(self):
         probs = crp_table_distribution(
@@ -259,6 +291,20 @@ class TestDraw:
                 assert _draw(scaled, r * sum(scaled)) == want, (r, exponent)
             assert _draw(normalized, r) == want, r
 
+    def test_sampled_action_matches_the_scan_at_cumulative_boundaries(self):
+        """A node's action, drawn by bisecting its table's cumulative theta row,
+        is the one ``_draw`` picks on the row at every exact cumulative boundary,
+        just below it, and at thresholds at or past the row's total."""
+        for seed in range(60):
+            model = wide_vocab_model(np.random.default_rng([23, seed]), vocab_size=seed + 1, k_star=1)
+            row, cumulative = model.theta[0].tolist(), model.theta_cumulative[0]
+            total = cumulative[-1] + row[-1] if cumulative else row[-1]
+            thresholds = [0.0, total, math.nextafter(total, math.inf), 1.0, 2.0, math.inf]
+            thresholds += cumulative + [math.nextafter(c, -math.inf) for c in cumulative]
+            for threshold in thresholds:
+                net = sample_network(model, 1, FixedUniforms([0.0, threshold]))
+                assert net.actions == (_draw(row, threshold) + 1,), (seed, threshold)
+
 
 class TestSeatNext:
     def test_draws_from_the_prior_and_counts_the_seat(self):
@@ -267,13 +313,13 @@ class TestSeatNext:
         probs = crp_table_distribution(occupancy, alpha)
         rng = np.random.default_rng(5)
         r = np.random.default_rng(5).random()
-        table = seat_next(occupancy, alpha, rng)
+        table = seat_next(occupancy, alpha, rng.random())
         assert table == (0 if r < probs[0] else 1)
         assert sum(occupancy) == 3.0 and occupancy[table] >= 1.0
 
     def test_first_seat_opens_the_first_table(self):
         occupancy = []
-        assert seat_next(occupancy, np.ones(2), np.random.default_rng(0)) == 0
+        assert seat_next(occupancy, np.ones(2), np.random.default_rng(0).random()) == 0
         assert occupancy == [1.0]
 
     def test_matches_the_frozen_normalized_draw(self):
@@ -287,7 +333,7 @@ class TestSeatNext:
             occupied = int(picks.integers(0, ell + 1))
             occupancy = picks.integers(1, 6, occupied).astype(float).tolist()
             mine, theirs = list(occupancy), list(occupancy)
-            assert seat_next(mine, alpha.tolist(), fast) == frozen_seat(theirs, alpha, frozen)
+            assert seat_next(mine, alpha.tolist(), fast.random()) == frozen_seat(theirs, alpha, frozen)
             assert mine == theirs
         assert fast.bit_generator.state == frozen.bit_generator.state
 
@@ -344,9 +390,25 @@ class TestSampleNetwork:
     def test_matches_all_pairs_oracle(self):
         """Networks, failures and the rng state afterwards equal the all-pairs
         walk's, under chain, full, empty and random masks (links may reach
-        past the sampled size)."""
+        past the sampled size), and on wide-vocabulary models (M = 60, empty
+        phi, chain and empty masks), whose long theta rows the sampler bisects."""
         rng = np.random.default_rng(2026)
         outcomes = Counter()
+
+        def compare(masked, k):
+            seed = int(rng.integers(2**32))
+            results = []
+            for sample in (sample_network, reference_sample_network):
+                draws = np.random.default_rng(seed)
+                try:
+                    net = sample(masked, k, draws)
+                    result = (net.actions, net.relations)
+                except EmptyConstraint:
+                    result = "empty constraint"
+                results.append((result, draws.bit_generator.state))
+            assert results[0] == results[1]
+            outcomes[results[0][0] == "empty constraint"] += 1
+
         for index in range(200):
             k_star = int(rng.integers(1, 9))
             model = random_model(np.random.default_rng([2026, index]), vocab_size=3, k_star=k_star)
@@ -358,19 +420,12 @@ class TestSampleNetwork:
             ):
                 masked = dataclasses.replace(model, structure=mask)
                 for _ in range(2):
-                    k = int(rng.integers(1, k_star + 1))
-                    seed = int(rng.integers(2**32))
-                    results = []
-                    for sample in (sample_network, reference_sample_network):
-                        draws = np.random.default_rng(seed)
-                        try:
-                            net = sample(masked, k, draws)
-                            result = (net.actions, net.relations)
-                        except EmptyConstraint:
-                            result = "empty constraint"
-                        results.append((result, draws.bit_generator.state))
-                    assert results[0] == results[1]
-                    outcomes[results[0][0] == "empty constraint"] += 1
+                    compare(masked, int(rng.integers(1, k_star + 1)))
+        for index in range(30):
+            wide = wide_vocab_model(np.random.default_rng([2027, index]))
+            for mask in (StructureMask.chain(wide.k_star), StructureMask.of([])):
+                for _ in range(2):
+                    compare(dataclasses.replace(wide, structure=mask), int(rng.integers(1, wide.k_star + 1)))
         assert outcomes[False] >= 1500 and outcomes[True] > 0
 
     @pytest.mark.parametrize(
@@ -620,8 +675,10 @@ class TestClassModelValidation:
             ((1, 1, FULL_SET.bits), [-0.2, 0.2] + [0.2] * 5, "phi vector for (1, 1, 127) has wrong support"),
             ((1, 1, FULL_SET.bits), [0.2] * 7, "phi vector for (1, 1, 127) must sum to 1"),
             ((3, 1, FULL_SET.bits), [1 / 7] * 7, "phi key (3, 1) outside the vocabulary"),
+            ((1, 1, 0), [], "phi key (1, 1, 0) has constraint bits outside 1..127"),
+            ((1, 1, 128), [1.0], "phi key (1, 1, 128) has constraint bits outside 1..127"),
         ],
-        ids=["wrong_length", "nan", "negative", "unnormalized", "key_past_vocab"],
+        ids=["wrong_length", "nan", "negative", "unnormalized", "key_past_vocab", "bits_0", "bits_128"],
     )
     def test_phi_messages(self, kind, key, vec, message):
         model = dataclasses.replace(uniform_model(), phi={key: kind(vec)})

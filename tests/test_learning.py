@@ -251,7 +251,7 @@ def prefix_run_gibbs(instances, vocab_size, config, rng, ell=None):
     for d, inst_actions in enumerate(actions):
         seated = []
         for n in range(len(inst_actions)):
-            move(d, n, seat_next(seated, state.alpha, rng), 1.0)
+            move(d, n, seat_next(seated, state.alpha, rng.random()), 1.0)
     tables = np.arange(ell)
     for sweep in range(config.burn_in + config.avg_window):
         for d, inst_actions in enumerate(actions):
@@ -345,7 +345,7 @@ class TestGibbsConditional:
             length = int(rng.integers(1, ell + 1))
             alpha = rng.random(ell) * 3.0 + 0.05
             seated = []
-            seats = [seat_next(seated, alpha, rng) for _ in range(length)]
+            seats = [seat_next(seated, alpha, rng.random()) for _ in range(length)]
             actions = rng.integers(0, m, size=length).tolist()
             for n in range(length):
                 state = make_state(

@@ -297,6 +297,22 @@ class TestErrors:
         assert path.read_text() == "kept"
 
     @pytest.mark.parametrize(
+        "model, vocab, message",
+        [
+            (uniform_model(("a", "b")), ["x", "y"], "model 'only' has action vocabulary ['a', 'b'], not ['x', 'y']"),
+            (uniform_model(("a", "b", "c")), ["a", "b"], "model 'only' has action vocabulary ['a', 'b', 'c'], not ['a', 'b']"),
+        ],
+        ids=["renamed", "wider_model"],
+    )
+    def test_save_refuses_a_model_whose_vocabulary_is_not_the_bundles(self, tmp_path, model, vocab, message):
+        path = tmp_path / "bundle.json"
+        path.write_text("kept")
+        with pytest.raises(ValueError) as excinfo:
+            save_bundle(path, ModelBundle(vocab=vocab, classes=["only"], models={"only": model}))
+        assert str(excinfo.value) == message
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize(
         "classes, message",
         [
             (["assemble", "brew", "ghost"], "classes without a model: ['ghost']"),
