@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sample interval networks from a generative model and verify consistency.
 
-Builds a small two-table model by hand, draws networks of varying size, and
+Builds a small model by hand, draws networks of varying size, and
 realizes concrete timestamps for each.  The sampled network stores a relation
 only on structure links; every other pair is pinned down just to a constraint
 set implied by composition.  The checks below confirm that the realized
@@ -27,27 +27,26 @@ from ibgn import (
 
 
 def build_model(k_star: int = 5) -> ClassModel:
-    """Two latent tables with disjoint action menus, chain structure."""
+    """One latent table per possible node, alternating between two action menus, chain structure."""
     vocab = ("whisk", "fold", "bake", "glaze")
-    theta = np.array([
-        [0.45, 0.45, 0.05, 0.05],
-        [0.05, 0.05, 0.45, 0.45],
-    ])
-    # Direct-link relation preferences: alternating pairs prefer meets or
-    # overlaps.  Distributions are defined on the unconstrained class;
-    # generation intersects with whatever constraint the already-sampled
-    # relations impose and renormalizes.
+    menus = ([0.45, 0.45, 0.05, 0.05], [0.05, 0.05, 0.45, 0.45])
+    theta = np.array([menus[z % 2] for z in range(k_star)])
+    # Direct-link relation preferences, keyed by the two actions (vocabulary
+    # ids 1..4): a link between actions of one menu prefers meets, a link
+    # across the menus prefers overlaps.  Distributions are defined on the
+    # unconstrained class; generation intersects with whatever constraint
+    # the already-sampled relations impose and renormalizes.
     phi = {}
-    for i in range(1, k_star + 1):
-        for j in range(i + 1, k_star + 1):
+    for i in range(1, len(vocab) + 1):
+        for j in range(1, len(vocab) + 1):
             weights = np.full(7, 0.06)
-            weights[1 if (i + j) % 2 else 2] = 0.64
+            weights[1 if (i <= 2) == (j <= 2) else 2] = 0.64
             phi[(i, j, FULL_SET.bits)] = weights
     return ClassModel(
         k_star=k_star,
-        ell=2,
-        alpha=np.array([1.0, 1.0]),
-        beta=np.full((2, 4), 0.5),
+        ell=k_star,
+        alpha=np.ones(k_star),
+        beta=np.full((k_star, len(vocab)), 0.5),
         theta=theta,
         structure=StructureMask.chain(k_star),
         phi=phi,

@@ -66,6 +66,11 @@ class BaseRelation(IntEnum):
         return _SYMBOLS[self.value]
 
 
+def _relation(rel) -> BaseRelation:
+    """``rel`` itself if it is a relation, else the relation with its value (``ValueError`` if none)."""
+    return rel if type(rel) is BaseRelation else BaseRelation(rel)
+
+
 _SYMBOLS = ("b", "m", "o", "s", "c", "f", "eq")
 _SYMBOL_TO_RELATION = {sym: BaseRelation(i) for i, sym in enumerate(_SYMBOLS)}
 # the members of every 7-bit mask, in canonical order
@@ -96,7 +101,7 @@ class RelationSet:
     def of(cls, *relations: BaseRelation) -> "RelationSet":
         bits = 0
         for rel in relations:
-            bits |= 1 << BaseRelation(rel).value
+            bits |= 1 << _relation(rel)
         return _SETS[bits]
 
     @classmethod
@@ -128,7 +133,7 @@ class RelationSet:
         return (self.bits & ((1 << rel.value) - 1)).bit_count()
 
     def __contains__(self, rel: BaseRelation) -> bool:
-        return bool(self.bits >> BaseRelation(rel).value & 1)
+        return bool(self.bits >> _relation(rel) & 1)
 
     def __iter__(self) -> Iterator[BaseRelation]:
         return iter(_MEMBERS[self.bits])
@@ -213,7 +218,7 @@ _COMPOSE_SET_BITS = _compose_set_bits()
 
 def compose(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
     """Composition of two base relations (frozen table lookup)."""
-    return _SETS[_COMPOSE_BITS[BaseRelation(r1).value][BaseRelation(r2).value]]
+    return _SETS[_COMPOSE_BITS[_relation(r1)][_relation(r2)]]
 
 
 def compose_sets(set1: RelationSet, set2: RelationSet) -> RelationSet:
@@ -257,7 +262,7 @@ def brute_force_compose(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
     most six distinct endpoint values, so an integer grid of width 8 is
     exhaustive.
     """
-    return _SETS[_brute_force_table()[BaseRelation(r1).value][BaseRelation(r2).value]]
+    return _SETS[_brute_force_table()[_relation(r1)][_relation(r2)]]
 
 
 @dataclass(frozen=True)

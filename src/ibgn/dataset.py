@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
 from .generate import ClassModel, sample_instance
+from .model_io import ModelBundle
 from .network import Instance, Interval, _canonical_key
 
 __all__ = [
@@ -127,24 +128,27 @@ _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def save_instances(corpus: Corpus, path) -> None:
-    """Write a corpus back to JSONL (canonical interval order, stable bytes);
-    a non-finite timestamp or an action id outside ``1 .. len(vocab)`` raises
-    ``ValueError`` before the file is opened."""
+    """Write a corpus to JSONL with stable bytes, intervals in the order given (loading sorts them).
+    Raise ``ValueError`` before the file is opened for what :func:`load_instances` would refuse or
+    read differently: vocab names that repeat or are not non-empty strings, a label that is not a
+    string, an action id outside ``1 .. len(vocab)``, start >= end or a non-finite timestamp."""
+    vocab = corpus.vocab
+    if not all(isinstance(name, str) and name for name in vocab) or len(set(vocab)) != len(vocab):
+        raise ValueError(f"vocab must be distinct non-empty strings, not {vocab!r}")
     lines = []
     for inst in corpus.instances:
+        if inst.label is not None and not isinstance(inst.label, str):
+            raise ValueError(f"label {inst.label!r} is not a string")
         for iv in inst.intervals:
-            if not 1 <= iv.action <= len(corpus.vocab):
-                raise ValueError(f"action id {iv.action} outside the vocabulary of {len(corpus.vocab)} names")
+            if not 1 <= iv.action <= len(vocab):
+                raise ValueError(f"action id {iv.action} outside the vocabulary of {len(vocab)} names")
+            if not iv.start < iv.end:
+                raise ValueError(f"interval [{iv.start}, {iv.end}] of action {iv.action} has start >= end")
         record: Dict[str, object] = {}
         if inst.label is not None:
             record["label"] = inst.label
         record["intervals"] = [
-            {
-                "action": corpus.vocab[iv.action - 1],
-                "start": iv.start,
-                "end": iv.end,
-            }
-            for iv in inst.intervals
+            {"action": vocab[iv.action - 1], "start": iv.start, "end": iv.end} for iv in inst.intervals
         ]
         lines.append(_ENCODER.encode(record) + "\n")
     with open(path, "w", encoding="utf-8") as handle:
@@ -259,11 +263,9 @@ def build_synthetic_corpus(
         raise EmptyCorpus("no class models given")
     if per_class < 1:
         raise ValueError("per_class must be positive")
-    names = list(class_models.keys())
+    names = list(class_models)
     vocab = list(class_models[names[0]].action_vocab)
-    for name in names:
-        if list(class_models[name].action_vocab) != vocab:
-            raise ValueError("all class models must share one action vocabulary")
+    ModelBundle(vocab, names, dict(class_models))  # a ValueError unless every model has this vocabulary
     rng = np.random.default_rng(seed)
     instances = [
         sample_instance(class_models[name], rng, label=name) for name in names for _ in range(per_class)

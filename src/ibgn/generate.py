@@ -25,6 +25,7 @@ the size -> network -> timestamps loop.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,17 +57,21 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else math.log(EPS)
 
 
+def _integer(value) -> bool:
+    """An ``int`` or numpy integer, not a bool: a float such as ``4.0`` is saved as text the loader refuses."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(eq=False)
 class ClassModel:
-    """Learned (or handcrafted) per-class generative parameters.
+    """Learned (or handcrafted) per-class generative parameters, converted and validated when made.
 
-    ``theta[z, i]`` is the probability that a node at table ``z`` performs
-    the action with vocabulary id ``i + 1``; ``phi`` maps
-    ``(action_i, action_j, constraint_bits)`` to a probability vector over
-    the constraint's members in canonical relation order, held as a tuple
-    of floats made once from any sequence.  ``theta_cumulative`` holds, per
-    table, the left-to-right running sums of all but the last θ entry, and
-    ``alpha_list`` is α as a list; the sampler draws from both, made once.
+    ``theta[z, i]`` is the probability that a node at table ``z`` performs the action with
+    vocabulary id ``i + 1``; ``phi`` maps ``(action_i, action_j, constraint_bits)`` to a
+    probability vector over the constraint's members in canonical relation order, held as a tuple
+    of floats made once from any sequence.  ``theta_cumulative`` holds, per table, the
+    left-to-right running sums of all but the last θ entry, and ``alpha_list`` is α as a list; the
+    sampler draws from both, made once.  No field is reassigned after construction.
     """
 
     k_star: int
@@ -86,6 +91,7 @@ class ClassModel:
         self.phi = {key: tuple(map(float, vec)) for key, vec in self.phi.items()}
         self.action_vocab = tuple(self.action_vocab)
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
+        self.validate()
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
         # per action: the log of its total mass over the tables, the term scoring adds per interval
         self.log_theta_mass = [_log(mass) for mass in self.theta.sum(axis=0).tolist()]
@@ -110,8 +116,8 @@ class ClassModel:
         return probs
 
     def validate(self) -> None:
-        if self.k_star < 1 or self.ell != self.k_star:
-            raise ValueError(f"table budget {self.ell} must equal k_star {self.k_star} >= 1")
+        if not (_integer(self.k_star) and _integer(self.ell) and 1 <= self.k_star == self.ell):
+            raise ValueError(f"table budget {self.ell!r} must be an integer equal to k_star {self.k_star!r} >= 1")
         if self.M < 1:
             raise ValueError("empty action vocabulary")
         for name, values in (("alpha", self.alpha), ("beta", self.beta), ("theta", self.theta)):
@@ -123,16 +129,16 @@ class ClassModel:
             raise ValueError("beta must be a positive (ell, M) matrix")
         if self.theta.shape != (self.ell, self.M) or np.any(self.theta < 0):
             raise ValueError("theta must be a non-negative (ell, M) matrix")
-        if not np.allclose(self.theta.sum(axis=1), 1.0, atol=1e-9):
+        if np.any(np.abs(self.theta.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("theta rows must sum to 1")
         for (i, j, bits), vec in self.phi.items():
             if type(bits) is not int or not 1 <= bits <= FULL_SET.bits:
                 raise ValueError(f"phi key {(i, j, bits)} has constraint bits outside 1..{FULL_SET.bits}")
-            if not (1 <= i <= self.M and 1 <= j <= self.M):
+            if not (_integer(i) and _integer(j) and 1 <= i <= self.M and 1 <= j <= self.M):
                 raise ValueError(f"phi key ({i}, {j}) outside the vocabulary")
             if not all(map(math.isfinite, vec)):
                 raise ValueError(f"phi vector for {(i, j, bits)} must be finite")
-            if len(vec) != bits.bit_count() or any(v < 0 for v in vec):
+            if len(vec) != bits.bit_count() or min(vec) < 0:
                 raise ValueError(f"phi vector for {(i, j, bits)} has wrong support")
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise ValueError(f"phi vector for {(i, j, bits)} must sum to 1")

@@ -29,13 +29,35 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _distinct_strings(names) -> bool:
+    return isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)
+
+
 @dataclass
 class ModelBundle:
-    """Everything one training run produced."""
+    """Everything one training run produced.  Construction raises ``ValueError`` unless ``vocab``
+    is a list of distinct non-empty strings, ``classes`` a list of distinct strings naming exactly
+    the keys of ``models``, and each model's ``action_vocab`` is ``vocab``; no field is reassigned."""
 
     vocab: List[str]
     classes: List[str]
     models: Dict[str, ClassModel]
+
+    def __post_init__(self) -> None:
+        if not _distinct_strings(self.vocab) or "" in self.vocab:
+            raise ValueError("vocab must be a list of distinct non-empty strings")
+        if not _distinct_strings(self.classes):
+            raise ValueError("classes must be a list of distinct strings")
+        missing = [name for name in self.classes if name not in self.models]
+        if missing:
+            raise ValueError(f"classes without a model: {missing}")
+        unnamed = [name for name in self.models if name not in self.classes]
+        if unnamed:
+            raise ValueError(f"models not named in classes: {unnamed}")
+        for name in self.classes:
+            own = self.models[name].action_vocab
+            if own != tuple(self.vocab):
+                raise ValueError(f"model {name!r} has action vocabulary {list(own)}, not {self.vocab}")
 
     def model_for(self, name: str) -> ClassModel:
         if name not in self.models:
@@ -67,12 +89,8 @@ def _encode_model(model: ClassModel, pad: str) -> str:
     # every phi entry has one layout: laid out once, with a %s for each value
     entry = _object([(name, "%s") for name in ("i", "j", "constraint", "probs")], row)
     phi_entries = []
-    for key, probs in sorted(model.phi.items()):
-        i, j, bits = key
-        constraint = _CONSTRAINT_TEXT.get(bits)
-        if constraint is None:
-            raise ValueError(f"phi key {key} has constraint bits outside 1..{FULL_SET.bits}")
-        phi_entries.append(entry % (i, j, _string(constraint), _reals_text(probs, cell)))
+    for (i, j, bits), probs in sorted(model.phi.items()):
+        phi_entries.append(entry % (i, j, _string(_CONSTRAINT_TEXT[bits]), _reals_text(probs, cell)))
     links = [_array((str(i), str(j)), row) for i, j in model.structure.sorted_links()]
     sizes = [(str(size), str(count)) for size, count in sorted(model.size_histogram.items())]
     return _object(
@@ -133,7 +151,7 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
     sizes = obj["size_histogram"]
     if any(size != str(int(size)) for size in sizes):
         raise ValueError(f"size histogram keys must be integers in plain decimal, not {list(sizes)}")
-    model = ClassModel(
+    return ClassModel(
         k_star=_int(obj["k_star"]),
         ell=_int(obj["ell"]),
         alpha=_reals(obj["alpha"]),
@@ -144,28 +162,11 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
         action_vocab=tuple(vocab),
         size_histogram={int(size): _int(count) for size, count in sizes.items()},
     )
-    model.validate()
-    return model
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    """Write a bundle; identical parameters give byte-identical files.  Raise
-    ``ValueError``, before the file is opened, when ``classes`` repeats a name
-    or differs from the keys of ``models``, when a model's ``action_vocab`` is
-    not ``vocab``, or when a phi key's constraint bits fall outside 1..127."""
-    if len(set(bundle.classes)) != len(bundle.classes):
-        raise ValueError(f"classes repeat a name: {bundle.classes}")
-    missing = [name for name in bundle.classes if name not in bundle.models]
-    if missing:
-        raise ValueError(f"classes without a model: {missing}")
-    unnamed = [name for name in bundle.models if name not in bundle.classes]
-    if unnamed:
-        raise ValueError(f"models not named in classes: {unnamed}")
-    vocab = tuple(bundle.vocab)
-    for name in bundle.classes:
-        own = bundle.models[name].action_vocab
-        if own != vocab:
-            raise ValueError(f"model {name!r} has action vocabulary {list(own)}, not {list(vocab)}")
+    """Write a bundle; identical parameters give byte-identical files.  A bundle and its models are
+    checked when they are made, so this checks nothing and :func:`load_bundle` reads back all it writes."""
     models = [(name, _encode_model(bundle.models[name], "    ")) for name in bundle.classes]
     text = _object(
         (
@@ -180,18 +181,13 @@ def save_bundle(path, bundle: ModelBundle) -> None:
         handle.write(text + "\n")
 
 
-def _distinct_strings(names) -> bool:
-    return isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)
-
-
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`; raise
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
-    deeply, for another schema version or shape, for a ``vocab`` that is not
-    a list of distinct non-empty strings or ``classes`` that are not distinct
-    strings, for ``models`` entries that ``classes`` does not name, for an
-    integer, real or constraint field not written as ``save_bundle`` does,
-    for a repeated phi key, or for parameters that do not decode or validate."""
+    deeply, for another schema version or shape, for ``models`` entries that
+    ``classes`` does not name, for an integer, real or constraint field not
+    written as ``save_bundle`` does, for a repeated phi key, or for what
+    :class:`ClassModel` or :class:`ModelBundle` refuses."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
@@ -206,15 +202,13 @@ def load_bundle(path) -> ModelBundle:
         raise BundleInvalid(f"unsupported model schema version: {version!r}")
     try:
         vocab, classes = document["vocab"], document["classes"]
-        if not _distinct_strings(vocab) or "" in vocab:
-            raise ValueError("vocab must be a list of distinct non-empty strings")
-        if not _distinct_strings(classes):
-            raise ValueError("classes must be a list of distinct strings")
+        if not isinstance(classes, list):
+            raise ValueError("classes must be a list of distinct strings")  # before it is iterated
         models = {name: _decode_model(document["models"][name], vocab) for name in classes}
         if len(document["models"]) != len(models):
             raise ValueError(f"models not named in classes: {[k for k in document['models'] if k not in models]}")
+        return ModelBundle(vocab=vocab, classes=classes, models=models)
     except KeyError as exc:
         raise BundleInvalid(f"model bundle has no entry {exc}") from exc
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise BundleInvalid(f"malformed model bundle: {exc}") from exc
-    return ModelBundle(vocab=vocab, classes=classes, models=models)

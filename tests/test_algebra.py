@@ -120,6 +120,17 @@ class TestRelationSet:
         with pytest.raises(ValueError):
             RelationSet(-1)
 
+    @pytest.mark.parametrize("value", [7, -1])
+    def test_relation_values_outside_the_algebra_are_refused(self, value):
+        with pytest.raises(ValueError):
+            RelationSet.of(B, value)
+        with pytest.raises(ValueError):
+            value in FULL_SET
+        with pytest.raises(ValueError):
+            compose(value, B)
+        assert RelationSet.of(3, 1) is RelationSet.of(S, M) and 3 in RelationSet.of(S)
+        assert compose(1, 1) == compose(M, M)
+
     def test_bits_must_be_integers(self):
         for bad in (True, False, 2.0, "3", np.True_, np.float64(1.0)):
             with pytest.raises(ValueError):

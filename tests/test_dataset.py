@@ -40,6 +40,27 @@ def record(label, *triples):
     return json.dumps(rec)
 
 
+# corpora that load_instances would refuse or read differently, with the text save_instances raises
+UNWRITABLE_CORPORA = {
+    "vocab_repeated": (  # would load back as actions [1, 1]
+        Corpus([Instance("w", (Interval(1, 0.0, 1.0), Interval(2, 0.5, 2.0)))], ["a", "a"], ["w"]),
+        "vocab must be distinct non-empty strings, not ['a', 'a']",
+    ),
+    "vocab_empty_name": (
+        Corpus([Instance("w", (Interval(1, 0.0, 1.0),))], [""], ["w"]),
+        "vocab must be distinct non-empty strings, not ['']",
+    ),
+    "start_not_before_end": (
+        Corpus([Instance("w", (Interval(1, 0.0, 1.0), Interval(1, 2.0, 2.0)))], ["a"], ["w"]),
+        "interval [2.0, 2.0] of action 1 has start >= end",
+    ),
+    "label_not_a_string": (
+        Corpus([Instance(7, (Interval(1, 0.0, 1.0),))], ["a"], [7]),
+        "label 7 is not a string",
+    ),
+}
+
+
 class TestLoadInstances:
     def test_round_trip_vocab_and_classes_in_first_appearance_order(self, tmp_path):
         path = write_lines(
@@ -231,6 +252,23 @@ class TestLoadInstances:
         with pytest.raises(ValueError, match=f"action id {action} "):
             save_instances(corpus, tmp_path / "bad.jsonl")
         assert not (tmp_path / "bad.jsonl").exists()
+
+    @pytest.mark.parametrize("case", list(UNWRITABLE_CORPORA))
+    def test_save_refuses_what_load_would_refuse_or_read_differently(self, tmp_path, case):
+        corpus, message = UNWRITABLE_CORPORA[case]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("kept")
+        with pytest.raises(ValueError) as excinfo:
+            save_instances(corpus, path)
+        assert str(excinfo.value) == message
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saved_corpus_reads_back_to_the_same_bytes(self, tmp_path, seed):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_instances(build_synthetic_corpus(two_class_models(), per_class=5, seed=seed), first)
+        save_instances(load_instances(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_save_is_byte_stable(self, tmp_path):
         corpus = build_synthetic_corpus(two_class_models(), per_class=5, seed=11)

@@ -30,15 +30,44 @@ GENERATE_SHA256 = {
     ("full", "5"): "b1031975a65fd616434fb36769201a99e9f4fa38a49cbcb7aa63f1c9f36e9c39",
 }
 
+# ``ibgn train`` on the corpus above with a small schedule, under --jobs 1 and 2, then ``ibgn predict`` on it
+TRAIN_SHA256 = {
+    "chain": "11735c9b46470c184e21fd39c70becfd8928b86233933ca716f9c563f097edee",
+    "learned": "29a4f09e87a057100f6c620a0ad37c17bf3a3c614b21ecf11f480b20f28389e4",
+}
+
+PREDICT_SHA256 = {
+    "chain": "499f48febbc719b6fa340e91022d8699d4a2bb3040108501a688c4f628f0c258",
+    "learned": "742eb6503ce6198510cf51ded5c193807086e9435f14aef87c0f2b7af24da3d0",
+}
+
 
 def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_synthetic_corpus_bytes(tmp_path):
-    path = tmp_path / "corpus.jsonl"
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The seed-1001 two-class corpus, 15 instances per class."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     save_instances(build_synthetic_corpus(two_class_models(), 15, seed=1001), path)
-    assert sha256_of(path) == CORPUS_SHA256
+    return path
+
+
+def test_synthetic_corpus_bytes(corpus):
+    assert sha256_of(corpus) == CORPUS_SHA256
+
+
+@pytest.mark.parametrize("structure", list(TRAIN_SHA256))
+def test_train_and_predict_bytes(corpus, tmp_path, structure):
+    schedule = ["--structure", structure, "--iters", "40", "--burnin", "10", "--avg-window", "30", "--seed", "3"]
+    for jobs in ("1", "2"):
+        bundle = tmp_path / f"bundle_jobs{jobs}.json"
+        assert main(["train", "--input", str(corpus), "--out", str(bundle), "--jobs", jobs] + schedule) == 0
+        assert sha256_of(bundle) == TRAIN_SHA256[structure]
+    out = tmp_path / "predictions.csv"
+    assert main(["predict", "--model", str(bundle), "--input", str(corpus), "--out", str(out)]) == 0
+    assert sha256_of(out) == PREDICT_SHA256[structure]
 
 
 @pytest.fixture(scope="module")

@@ -207,7 +207,7 @@ def wide_vocab_model(rng: np.random.Generator, vocab_size: int = 60, k_star: int
     """A model with long theta rows, about a third of their entries zero, and empty phi."""
     theta = rng.random((k_star, vocab_size)) * (rng.random((k_star, vocab_size)) < 0.7)
     theta[:, 0] += 0.01  # no row is all zeros
-    model = ClassModel(
+    return ClassModel(
         k_star=k_star,
         ell=k_star,
         alpha=rng.random(k_star) + 0.5,
@@ -218,8 +218,6 @@ def wide_vocab_model(rng: np.random.Generator, vocab_size: int = 60, k_star: int
         action_vocab=tuple(f"act{i}" for i in range(vocab_size)),
         size_histogram={k_star: 1},
     )
-    model.validate()
-    return model
 
 
 class TestCrpTableDistribution:
@@ -645,26 +643,56 @@ class TestClassModelValidation:
 
     def test_theta_rows_must_normalize(self):
         model = uniform_model()
-        bad = dataclasses.replace(model, theta=model.theta * 2.0)
         with pytest.raises(ValueError):
-            bad.validate()
+            dataclasses.replace(model, theta=model.theta * 2.0)
+
+    @pytest.mark.parametrize("excess", [1e-7, 9e-6, -1e-7])
+    def test_theta_rows_sum_to_1_within_the_phi_tolerance(self, excess):
+        model = uniform_model(vocab=("a", "b"))
+        theta = model.theta.copy()
+        theta[0, 0] += excess
+        with pytest.raises(ValueError) as excinfo:
+            dataclasses.replace(model, theta=theta)
+        assert str(excinfo.value) == "theta rows must sum to 1"
+        theta[0, 0] = 0.5 + 5e-10
+        assert dataclasses.replace(model, theta=theta).theta[0, 0] == 0.5 + 5e-10
+
+    @pytest.mark.parametrize(
+        "k_star, ell, message",
+        [
+            (4.0, 4, "table budget 4 must be an integer equal to k_star 4.0 >= 1"),
+            (4, 4.0, "table budget 4.0 must be an integer equal to k_star 4 >= 1"),
+            (True, True, "table budget True must be an integer equal to k_star True >= 1"),
+            ("4", 4, "table budget 4 must be an integer equal to k_star '4' >= 1"),
+        ],
+        ids=["k_star_float", "ell_float", "bool", "k_star_text"],
+    )
+    def test_table_budget_must_be_an_integer(self, k_star, ell, message):
+        with pytest.raises(ValueError) as excinfo:
+            dataclasses.replace(uniform_model(k_star=4), k_star=k_star, ell=ell)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        model = uniform_model(k_star=4)
+        phi = {(np.int64(1), np.int32(2), FULL_SET.bits): [1 / 7] * 7}
+        assert dataclasses.replace(model, k_star=np.int64(4), ell=np.int16(4), phi=phi).k_star == 4
 
     def test_budget_must_match_max_size(self):
         model = uniform_model()
         with pytest.raises(ValueError):
-            dataclasses.replace(model, ell=model.k_star + 1).validate()
+            dataclasses.replace(model, ell=model.k_star + 1)
 
     def test_phi_support_length_checked(self):
         model = uniform_model()
         bad_phi = {(1, 1, FULL_SET.bits): np.array([1.0])}
         with pytest.raises(ValueError):
-            dataclasses.replace(model, phi=bad_phi).validate()
+            dataclasses.replace(model, phi=bad_phi)
 
     def test_phi_rows_must_normalize(self):
         model = uniform_model()
         bad_phi = {(1, 1, FULL_SET.bits): np.full(7, 0.2)}
         with pytest.raises(ValueError):
-            dataclasses.replace(model, phi=bad_phi).validate()
+            dataclasses.replace(model, phi=bad_phi)
 
     @pytest.mark.parametrize("kind", [np.array, list, tuple])
     @pytest.mark.parametrize(
@@ -675,15 +703,19 @@ class TestClassModelValidation:
             ((1, 1, FULL_SET.bits), [-0.2, 0.2] + [0.2] * 5, "phi vector for (1, 1, 127) has wrong support"),
             ((1, 1, FULL_SET.bits), [0.2] * 7, "phi vector for (1, 1, 127) must sum to 1"),
             ((3, 1, FULL_SET.bits), [1 / 7] * 7, "phi key (3, 1) outside the vocabulary"),
+            ((1.0, 1, FULL_SET.bits), [1 / 7] * 7, "phi key (1.0, 1) outside the vocabulary"),
+            ((1, True, FULL_SET.bits), [1 / 7] * 7, "phi key (1, True) outside the vocabulary"),
             ((1, 1, 0), [], "phi key (1, 1, 0) has constraint bits outside 1..127"),
             ((1, 1, 128), [1.0], "phi key (1, 1, 128) has constraint bits outside 1..127"),
         ],
-        ids=["wrong_length", "nan", "negative", "unnormalized", "key_past_vocab", "bits_0", "bits_128"],
+        ids=[
+            "wrong_length", "nan", "negative", "unnormalized", "key_past_vocab", "key_float", "key_bool",
+            "bits_0", "bits_128",
+        ],
     )
     def test_phi_messages(self, kind, key, vec, message):
-        model = dataclasses.replace(uniform_model(), phi={key: kind(vec)})
         with pytest.raises(ValueError) as excinfo:
-            model.validate()
+            dataclasses.replace(uniform_model(), phi={key: kind(vec)})
         assert str(excinfo.value) == message
 
     def test_phi_held_as_float_tuples(self):
@@ -699,16 +731,16 @@ class TestClassModelValidation:
     def test_size_histogram_bounds(self):
         model = uniform_model()
         with pytest.raises(ValueError):
-            dataclasses.replace(model, size_histogram={0: 3}).validate()
+            dataclasses.replace(model, size_histogram={0: 3})
         with pytest.raises(ValueError):
-            dataclasses.replace(model, size_histogram={model.k_star + 1: 3}).validate()
+            dataclasses.replace(model, size_histogram={model.k_star + 1: 3})
         with pytest.raises(ValueError):
-            dataclasses.replace(model, size_histogram={}).validate()
+            dataclasses.replace(model, size_histogram={})
 
     def test_structure_links_within_budget(self):
         model = uniform_model(k_star=3)
         with pytest.raises(ValueError):
-            dataclasses.replace(model, structure=StructureMask.of([(0, 3)])).validate()
+            dataclasses.replace(model, structure=StructureMask.of([(0, 3)]))
 
     def test_action_lookup(self):
         model = uniform_model(vocab=("lift", "drop"))

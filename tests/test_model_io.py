@@ -184,13 +184,14 @@ class TestLayout:
         assert load_bundle(tmp_path / "bundle.json").models["only"].structure == StructureMask.of([])
 
     def test_empty_containers(self, tmp_path):
-        self.assert_json_layout(written_text(tmp_path, ModelBundle([], [], {})))
-        model = dataclasses.replace(
-            uniform_model(k_star=1), beta=np.empty((1, 0)), theta=np.empty((1, 0)), action_vocab=(), size_histogram={}
-        )
-        text = written_text(tmp_path, one_model_bundle(model))
+        text = written_text(tmp_path, ModelBundle([], [], {}))
         self.assert_json_layout(text)
-        assert '"beta": [\n        []\n      ],' in text and '"size_histogram": {}' in text
+        assert '"vocab": [],' in text and '"models": {}' in text
+        # a model with empty rows or an empty size histogram cannot be made, so it is never written
+        with pytest.raises(ValueError, match="empty action vocabulary"):
+            dataclasses.replace(uniform_model(k_star=1), beta=np.empty((1, 0)), theta=np.empty((1, 0)), action_vocab=())
+        with pytest.raises(ValueError, match="size histogram is empty"):
+            dataclasses.replace(uniform_model(k_star=1), size_histogram={})
 
     def test_every_constraint_spelling(self, tmp_path):
         spellings = {bits: RelationSet(bits).text() for bits in range(1, FULL_SET.bits + 1)}
@@ -236,8 +237,10 @@ class TestErrors:
         assert bundle.model_for("brew") is bundle.models["brew"]
 
     def test_unknown_class_message_names_the_bundle_classes(self):
+        model = uniform_model(vocab=("a",))
+        bundle = ModelBundle(["a"], ["x", "y"], {"x": model, "y": model})
         with pytest.raises(UnknownClass) as err:
-            ModelBundle(["a"], ["x", "y"], {}).model_for("zz")
+            bundle.model_for("zz")
         assert str(err.value) == "no class 'zz'; the bundle has 'x', 'y'"
         with pytest.raises(UnknownClass) as err:
             ModelBundle([], [], {}).model_for("zz")
@@ -285,47 +288,90 @@ class TestErrors:
     def test_every_malformed_case_has_a_pinned_message(self):
         assert tuple(MALFORMED_BUNDLE_MESSAGES) == MALFORMED_BUNDLE_CASES
 
-    @pytest.mark.parametrize("bits", [0, 128, -1])
-    def test_save_refuses_constraint_bits_outside_the_algebra(self, tmp_path, bits):
-        model = uniform_model(k_star=3)
-        model.phi[(1, 2, bits)] = (1.0,)
-        path = tmp_path / "bundle.json"
-        path.write_text("kept")
-        with pytest.raises(ValueError) as excinfo:
-            save_bundle(path, one_model_bundle(model))
-        assert str(excinfo.value) == f"phi key (1, 2, {bits}) has constraint bits outside 1..127"
-        assert path.read_text() == "kept"
 
-    @pytest.mark.parametrize(
-        "model, vocab, message",
-        [
-            (uniform_model(("a", "b")), ["x", "y"], "model 'only' has action vocabulary ['a', 'b'], not ['x', 'y']"),
-            (uniform_model(("a", "b", "c")), ["a", "b"], "model 'only' has action vocabulary ['a', 'b', 'c'], not ['a', 'b']"),
-        ],
-        ids=["renamed", "wider_model"],
-    )
-    def test_save_refuses_a_model_whose_vocabulary_is_not_the_bundles(self, tmp_path, model, vocab, message):
+def two_class_bundle(vocab=None, classes=None, **changes) -> ModelBundle:
+    """The two-class bundle with ``changes`` made to its "brew" model, every model's action
+    vocabulary set to ``vocab`` and ``classes`` (default: the models' names) listing them."""
+    models = two_class_models()
+    vocab = list(models["brew"].action_vocab) if vocab is None else vocab
+    models = {
+        name: dataclasses.replace(model, action_vocab=tuple(vocab), **(changes if name == "brew" else {}))
+        for name, model in models.items()
+    }
+    return ModelBundle(vocab, list(models) if classes is None else classes, models)
+
+
+VOCAB_RULE = "vocab must be a list of distinct non-empty strings"
+CLASSES_RULE = "classes must be a list of distinct strings"
+
+# bundles that break a rule, each built as a caller would build it, with the text it raises
+UNWRITABLE_BUNDLES = {
+    "vocab_repeated": (lambda: two_class_bundle(vocab=["reach", "grasp", "pour", "reach"]), VOCAB_RULE),
+    "vocab_empty_name": (lambda: two_class_bundle(vocab=["reach", "", "pour", "stir"]), VOCAB_RULE),
+    "theta_rows_sum_to_half": (
+        lambda: two_class_bundle(theta=two_class_models()["brew"].theta / 2), "theta rows must sum to 1"
+    ),
+    "size_histogram_empty": (lambda: two_class_bundle(size_histogram={}), "size histogram is empty"),
+    "phi_action_past_vocab": (
+        lambda: two_class_bundle(phi={(5, 1, FULL_SET.bits): [1 / 7] * 7}), "phi key (5, 1) outside the vocabulary"
+    ),
+    "k_star_float": (
+        lambda: two_class_bundle(k_star=5.0), "table budget 5 must be an integer equal to k_star 5.0 >= 1"
+    ),
+    "alpha_negative": (
+        lambda: two_class_bundle(alpha=-np.ones(5)), "alpha must be a positive vector of length ell"
+    ),
+    "class_not_a_string": (
+        lambda: ModelBundle(["a"], ["x", 7], {"x": uniform_model(("a",)), 7: uniform_model(("a",))}), CLASSES_RULE
+    ),
+    "class_repeated": (lambda: two_class_bundle(classes=["assemble", "brew", "assemble"]), CLASSES_RULE),
+    "class_without_model": (
+        lambda: two_class_bundle(classes=["assemble", "brew", "ghost"]), "classes without a model: ['ghost']"
+    ),
+    "model_without_class": (
+        lambda: two_class_bundle(classes=["brew"]), "models not named in classes: ['assemble']"
+    ),
+    "model_vocab_renamed": (
+        lambda: ModelBundle(["x", "y"], ["only"], {"only": uniform_model(("a", "b"))}),
+        "model 'only' has action vocabulary ['a', 'b'], not ['x', 'y']",
+    ),
+    "model_vocab_wider": (
+        lambda: ModelBundle(["a", "b"], ["only"], {"only": uniform_model(("a", "b", "c"))}),
+        "model 'only' has action vocabulary ['a', 'b', 'c'], not ['a', 'b']",
+    ),
+    **{
+        f"constraint_bits_{bits}": (
+            lambda bits=bits: two_class_bundle(phi={(1, 2, bits): (1.0,)}),
+            f"phi key (1, 2, {bits}) has constraint bits outside 1..127",
+        )
+        for bits in (0, 128, -1)
+    },
+}
+
+
+class TestWritersAndReadersAgree:
+    """Every bundle save_bundle writes, load_bundle reads back; what load_bundle would
+    refuse cannot be made, so it never reaches a file."""
+
+    @pytest.mark.parametrize("case", list(UNWRITABLE_BUNDLES))
+    def test_a_bundle_that_breaks_a_rule_is_refused_before_any_file_is_written(self, tmp_path, case):
+        build, message = UNWRITABLE_BUNDLES[case]
         path = tmp_path / "bundle.json"
         path.write_text("kept")
         with pytest.raises(ValueError) as excinfo:
-            save_bundle(path, ModelBundle(vocab=vocab, classes=["only"], models={"only": model}))
+            save_bundle(path, build())
         assert str(excinfo.value) == message
         assert path.read_text() == "kept"
 
-    @pytest.mark.parametrize(
-        "classes, message",
-        [
-            (["assemble", "brew", "ghost"], "classes without a model: ['ghost']"),
-            (["brew"], "models not named in classes: ['assemble']"),
-            (["assemble", "brew", "assemble"], "classes repeat a name: ['assemble', 'brew', 'assemble']"),
-        ],
-        ids=["class_without_model", "model_without_class", "class_repeated"],
-    )
-    def test_save_refuses_classes_that_do_not_match_the_models(self, tmp_path, classes, message):
-        models = two_class_models()
-        path = tmp_path / "bundle.json"
-        path.write_text("kept")
-        with pytest.raises(ValueError) as excinfo:
-            save_bundle(path, ModelBundle(list(models["brew"].action_vocab), classes, models))
-        assert str(excinfo.value) == message
-        assert path.read_text() == "kept"
+    @pytest.mark.parametrize("seed", [None, *range(4)])
+    def test_a_written_bundle_reads_back_to_the_same_bytes(self, tmp_path, seed):
+        if seed is None:
+            bundle = two_class_bundle()
+        else:
+            rng = np.random.default_rng(seed)
+            models = {f"class{n}": random_model(rng, vocab_size=3, k_star=int(rng.integers(1, 7))) for n in range(3)}
+            bundle = ModelBundle([f"act{i}" for i in range(3)], list(models), models)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_bundle(first, bundle)
+        save_bundle(second, load_bundle(first))
+        assert first.read_bytes() == second.read_bytes()
