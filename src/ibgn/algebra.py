@@ -26,7 +26,7 @@ is looked up in a 128 x 128 table of masks derived from it at import.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -66,6 +66,11 @@ class BaseRelation(IntEnum):
         return _SYMBOLS[self.value]
 
 
+def _integer(value) -> bool:
+    """An ``int`` or numpy integer, never a bool or a float such as ``4.0``: every integer field's test."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _relation(rel) -> BaseRelation:
     """``rel`` itself if it is a relation, else the relation with its value (``ValueError`` if none)."""
     return rel if type(rel) is BaseRelation else BaseRelation(rel)
@@ -90,9 +95,9 @@ class RelationSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.bits, bool) or not hasattr(self.bits, "__index__"):
+        if not _integer(self.bits):
             raise ValueError(f"relation bits must be an integer: {self.bits!r}")
-        bits = operator.index(self.bits)  # a numpy integer becomes an int
+        bits = int(self.bits)  # checked, so a numpy integer becomes an int and nothing is truncated
         if not 0 <= bits <= 0x7F:
             raise ValueError(f"relation bits out of range: {bits}")
         object.__setattr__(self, "bits", bits)

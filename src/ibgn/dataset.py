@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
-from .generate import ClassModel, sample_instance
+from .generate import ClassModel, _distinct_names, sample_instance
 from .model_io import ModelBundle
 from .network import Instance, Interval, _canonical_key
 
@@ -133,7 +133,7 @@ def save_instances(corpus: Corpus, path) -> None:
     read differently: vocab names that repeat or are not non-empty strings, a label that is not a
     string, an action id outside ``1 .. len(vocab)``, start >= end or a non-finite timestamp."""
     vocab = corpus.vocab
-    if not all(isinstance(name, str) and name for name in vocab) or len(set(vocab)) != len(vocab):
+    if not _distinct_names(vocab):
         raise ValueError(f"vocab must be distinct non-empty strings, not {vocab!r}")
     lines = []
     for inst in corpus.instances:

@@ -25,7 +25,6 @@ the size -> network -> timestamps loop.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import FULL_SET, RelationSet, relation_of
+from .algebra import FULL_SET, RelationSet, _integer, relation_of
 from .errors import EmptyConstraint, Unrealizable
 from .network import Instance, Interval, IntervalNetwork, StructureMask
 from .network import compute_constraint, resolution_order
@@ -57,9 +56,9 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else math.log(EPS)
 
 
-def _integer(value) -> bool:
-    """An ``int`` or numpy integer, not a bool: a float such as ``4.0`` is saved as text the loader refuses."""
-    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _distinct_names(names) -> bool:
+    """Whether ``names`` are distinct non-empty strings, as every action vocabulary must be."""
+    return all(isinstance(name, str) and name for name in names) and len(set(names)) == len(names)
 
 
 @dataclass(eq=False)
@@ -71,7 +70,10 @@ class ClassModel:
     probability vector over the constraint's members in canonical relation order, held as a tuple
     of floats made once from any sequence.  ``theta_cumulative`` holds, per table, the
     left-to-right running sums of all but the last θ entry, and ``alpha_list`` is α as a list; the
-    sampler draws from both, made once.  No field is reassigned after construction.
+    sampler draws from both, made once.  ``k_star``, ``ell``, each φ key's ids and bits and the
+    size histogram's sizes and counts must be integers (``int`` or numpy, never a bool or float):
+    they are checked, never truncated.  ``action_vocab`` must be distinct non-empty strings.  No field
+    is reassigned after construction.
     """
 
     k_star: int
@@ -90,8 +92,8 @@ class ClassModel:
         self.theta = np.asarray(self.theta, dtype=float)
         self.phi = {key: tuple(map(float, vec)) for key, vec in self.phi.items()}
         self.action_vocab = tuple(self.action_vocab)
-        self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}
         self.validate()
+        self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}  # checked integers
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
         # per action: the log of its total mass over the tables, the term scoring adds per interval
         self.log_theta_mass = [_log(mass) for mass in self.theta.sum(axis=0).tolist()]
@@ -120,6 +122,8 @@ class ClassModel:
             raise ValueError(f"table budget {self.ell!r} must be an integer equal to k_star {self.k_star!r} >= 1")
         if self.M < 1:
             raise ValueError("empty action vocabulary")
+        if not _distinct_names(self.action_vocab):
+            raise ValueError(f"action vocabulary must be distinct non-empty strings, not {list(self.action_vocab)}")
         for name, values in (("alpha", self.alpha), ("beta", self.beta), ("theta", self.theta)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
@@ -132,20 +136,20 @@ class ClassModel:
         if np.any(np.abs(self.theta.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("theta rows must sum to 1")
         for (i, j, bits), vec in self.phi.items():
-            if type(bits) is not int or not 1 <= bits <= FULL_SET.bits:
+            if not (_integer(bits) and 1 <= bits <= FULL_SET.bits):
                 raise ValueError(f"phi key {(i, j, bits)} has constraint bits outside 1..{FULL_SET.bits}")
             if not (_integer(i) and _integer(j) and 1 <= i <= self.M and 1 <= j <= self.M):
                 raise ValueError(f"phi key ({i}, {j}) outside the vocabulary")
             if not all(map(math.isfinite, vec)):
                 raise ValueError(f"phi vector for {(i, j, bits)} must be finite")
-            if len(vec) != bits.bit_count() or min(vec) < 0:
+            if len(vec) != int(bits).bit_count() or min(vec) < 0:
                 raise ValueError(f"phi vector for {(i, j, bits)} has wrong support")
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise ValueError(f"phi vector for {(i, j, bits)} must sum to 1")
         if not self.size_histogram:
             raise ValueError("size histogram is empty")
         for size, count in self.size_histogram.items():
-            if not (1 <= size <= self.k_star) or count <= 0:
+            if not (_integer(size) and _integer(count) and 1 <= size <= self.k_star and count > 0):
                 raise ValueError(f"bad size histogram entry {size}: {count}")
         for i, j in self.structure.links:
             if j >= self.k_star:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import FULL_SET, RelationSet
 from .errors import BundleInvalid, UnknownClass
-from .generate import ClassModel
+from .generate import ClassModel, _distinct_names
 from .network import StructureMask
 
 __all__ = ["SCHEMA_VERSION", "ModelBundle", "save_bundle", "load_bundle"]
@@ -27,10 +27,6 @@ SCHEMA_VERSION = 1
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _distinct_strings(names) -> bool:
-    return isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)
 
 
 @dataclass
@@ -44,9 +40,11 @@ class ModelBundle:
     models: Dict[str, ClassModel]
 
     def __post_init__(self) -> None:
-        if not _distinct_strings(self.vocab) or "" in self.vocab:
+        if not isinstance(self.vocab, list) or not _distinct_names(self.vocab):
             raise ValueError("vocab must be a list of distinct non-empty strings")
-        if not _distinct_strings(self.classes):
+        classes = self.classes  # unlike an action, a class may be named ""
+        strings = isinstance(classes, list) and all(isinstance(name, str) for name in classes)
+        if not strings or len(set(classes)) < len(classes):
             raise ValueError("classes must be a list of distinct strings")
         missing = [name for name in self.classes if name not in self.models]
         if missing:
@@ -108,13 +106,6 @@ def _encode_model(model: ClassModel, pad: str) -> str:
     )
 
 
-def _int(value) -> int:
-    """``value`` itself if it is a JSON integer (not a bool, float or string)."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, not {value!r}")
-    return value
-
-
 def _reals(values) -> List[float]:
     """A list of reals as :func:`save_bundle` writes them: ASCII strings without whitespace or
     underscores.  ``float`` alone would also take booleans, numbers and text such as ``" 1_0.5"``;
@@ -144,7 +135,7 @@ def _constraint(text) -> int:
 def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel:
     phi = {}
     for entry in obj["phi"]:
-        key = (_int(entry["i"]), _int(entry["j"]), _constraint(entry["constraint"]))
+        key = (entry["i"], entry["j"], _constraint(entry["constraint"]))
         if key in phi:
             raise ValueError(f"phi key {key} repeats")
         phi[key] = _reals(entry["probs"])
@@ -152,16 +143,26 @@ def _decode_model(obj: Mapping[str, object], vocab: Sequence[str]) -> ClassModel
     if any(size != str(int(size)) for size in sizes):
         raise ValueError(f"size histogram keys must be integers in plain decimal, not {list(sizes)}")
     return ClassModel(
-        k_star=_int(obj["k_star"]),
-        ell=_int(obj["ell"]),
+        k_star=obj["k_star"],
+        ell=obj["ell"],
         alpha=_reals(obj["alpha"]),
         beta=[_reals(row) for row in obj["beta"]],
         theta=[_reals(row) for row in obj["theta"]],
-        structure=StructureMask.of((_int(i), _int(j)) for i, j in obj["structure"]),
+        structure=StructureMask.of(obj["structure"]),
         phi=phi,
         action_vocab=tuple(vocab),
-        size_histogram={int(size): _int(count) for size, count in sizes.items()},
+        size_histogram={int(size): count for size, count in sizes.items()},
     )
+
+
+def _object_without_repeats(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object's pairs as a dict, unless a key repeats: ``json`` would keep its last value."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise BundleInvalid(f"model bundle repeats the key {repeated!r} in one object")
+    return document
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
@@ -184,13 +185,16 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`; raise
     :class:`~ibgn.errors.BundleInvalid` for text that is not JSON or nests too
-    deeply, for another schema version or shape, for ``models`` entries that
-    ``classes`` does not name, for an integer, real or constraint field not
-    written as ``save_bundle`` does, for a repeated phi key, or for what
-    :class:`ClassModel` or :class:`ModelBundle` refuses."""
+    deeply, for a key repeated in one object, for another schema version or
+    shape, for ``models`` entries that ``classes`` does not name, for a real,
+    constraint or size key not written as ``save_bundle`` does, for a repeated
+    phi key, or for what :class:`ClassModel`, :class:`StructureMask` or
+    :class:`ModelBundle` refuses (integer fields are checked there)."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
+            document = json.load(handle, object_pairs_hook=_object_without_repeats)
+        except BundleInvalid:
+            raise
         except ValueError as exc:  # also an integer with more digits than the interpreter converts
             raise BundleInvalid(f"model bundle is not valid JSON ({exc})") from exc
         except RecursionError as exc:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .algebra import BaseRelation, FULL_SET, RelationSet, compose, compose_sets, relation_of
+from .algebra import BaseRelation, FULL_SET, RelationSet, _integer, compose, compose_sets, relation_of
 from .errors import EmptyConstraint
 
 __all__ = [
@@ -109,14 +109,17 @@ class ConsistencyReport:
 
 @dataclass(frozen=True)
 class StructureMask:
-    """The set of node pairs whose relation the model observes ("links")."""
+    """The set of node pairs whose relation the model observes ("links").  Construction raises
+    ``ValueError`` unless each link's ids are integers (an ``int`` or numpy integer, never a bool
+    or float) with ``0 <= i < j``; numpy integers are then stored as ``int``."""
 
     links: frozenset
 
     def __post_init__(self) -> None:
         for i, j in self.links:
-            if not (0 <= i < j):
-                raise ValueError(f"bad structure link ({i}, {j})")
+            if not (_integer(i) and _integer(j) and 0 <= i < j):
+                raise ValueError(f"bad structure link {(i, j)}")
+        object.__setattr__(self, "links", frozenset((int(i), int(j)) for i, j in self.links))
 
     @classmethod
     def chain(cls, size: int) -> "StructureMask":
@@ -128,7 +131,7 @@ class StructureMask:
 
     @classmethod
     def of(cls, pairs) -> "StructureMask":
-        return cls(frozenset((int(i), int(j)) for i, j in pairs))
+        return cls(frozenset(map(tuple, pairs)))
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         return pair in self.links

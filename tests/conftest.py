@@ -121,11 +121,23 @@ MALFORMED_BUNDLE_CASES = (
     "vocab_a_string", "vocab_not_strings", "vocab_repeated", "vocab_empty_name", "classes_repeated",
     "nan_phi", "nan_alpha", "inf_beta", "vocab_empty_list", "negative_alpha", "negative_theta",
     "phi_i_past_vocab", "k_star_float", "k_star_string", "size_count_float", "size_count_bool",
-    "size_key_padded", "structure_float", "phi_i_float", "phi_key_repeated",
-    "alpha_bool", "alpha_text", "beta_underscore", "theta_padded", "phi_probs_number",
+    "size_key_padded", "structure_float", "phi_i_float", "phi_key_repeated", "size_key_repeated",
+    "k_star_repeated", "alpha_bool", "alpha_text", "beta_underscore", "theta_padded", "phi_probs_number",
     "model_without_class", "constraint_reordered", "constraint_spaced", "constraint_repeated",
     "constraint_empty",
 )
+
+
+class RepeatedKeys(dict):
+    """An object that ``json.dumps`` writes with the ``first`` pairs before its own, so that a key
+    can appear in it twice."""
+
+    def __init__(self, first, own):
+        super().__init__(own)
+        self.first = first
+
+    def items(self):
+        return [*self.first, *super().items()]
 
 
 def malformed_bundle(valid: dict, case: str):
@@ -192,6 +204,11 @@ def malformed_bundle(valid: dict, case: str):
             model["phi"][0]["i"] += 0.5
         elif case == "phi_key_repeated":
             model["phi"].append(copy.deepcopy(model["phi"][0]))
+        # JSON objects that repeat a key, of which json.loads would keep the last value
+        elif case == "size_key_repeated":
+            model["size_histogram"] = RepeatedKeys([(sizes[-1], 99)], model["size_histogram"])
+        elif case == "k_star_repeated":
+            document["models"][document["classes"][0]] = RepeatedKeys([("k_star", model["k_star"] + 1)], model)
         # reals that float() would coerce: booleans, underscores, padding, JSON numbers
         elif case == "alpha_bool":
             model["alpha"] = [True] * len(model["alpha"])

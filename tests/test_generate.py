@@ -742,6 +742,12 @@ class TestClassModelValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(model, structure=StructureMask.of([(0, 3)]))
 
+    @pytest.mark.parametrize("vocab", [("a", "a"), ("a", ""), ("a", 2)], ids=["repeated", "empty_name", "not_a_string"])
+    def test_vocabulary_is_distinct_non_empty_strings(self, vocab):
+        with pytest.raises(ValueError) as excinfo:
+            dataclasses.replace(uniform_model(vocab=("a", "b")), action_vocab=vocab)
+        assert str(excinfo.value) == f"action vocabulary must be distinct non-empty strings, not {list(vocab)}"
+
     def test_action_lookup(self):
         model = uniform_model(vocab=("lift", "drop"))
         assert model.action_id("lift") == 1

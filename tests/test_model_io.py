@@ -30,9 +30,11 @@ MALFORMED_BUNDLE_MESSAGES = {
     "model_without_phi": "model bundle has no entry 'phi'",
     "classes_not_a_list": MALFORMED + "classes must be a list of distinct strings",
     "vocab_a_string": MALFORMED + "vocab must be a list of distinct non-empty strings",
-    "vocab_not_strings": MALFORMED + "vocab must be a list of distinct non-empty strings",
-    "vocab_repeated": MALFORMED + "vocab must be a list of distinct non-empty strings",
-    "vocab_empty_name": MALFORMED + "vocab must be a list of distinct non-empty strings",
+    "vocab_not_strings": MALFORMED + "action vocabulary must be distinct non-empty strings, not [1, 2, 3, 4]",
+    "vocab_repeated": MALFORMED
+        + "action vocabulary must be distinct non-empty strings, not ['reach', 'grasp', 'pour', 'reach']",
+    "vocab_empty_name": MALFORMED
+        + "action vocabulary must be distinct non-empty strings, not ['', 'grasp', 'pour', 'stir']",
     "classes_repeated": MALFORMED + "classes must be a list of distinct strings",
     "nan_phi": MALFORMED + "phi vector for (1, 1, 127) must be finite",
     "nan_alpha": MALFORMED + "alpha must be finite",
@@ -41,14 +43,16 @@ MALFORMED_BUNDLE_MESSAGES = {
     "negative_alpha": MALFORMED + "alpha must be a positive vector of length ell",
     "negative_theta": MALFORMED + "theta must be a non-negative (ell, M) matrix",
     "phi_i_past_vocab": MALFORMED + "phi key (5, 1) outside the vocabulary",
-    "k_star_float": MALFORMED + "expected an integer, not 5.9",
-    "k_star_string": MALFORMED + "expected an integer, not '5'",
-    "size_count_float": MALFORMED + "expected an integer, not 2.7",
-    "size_count_bool": MALFORMED + "expected an integer, not True",
+    "k_star_float": MALFORMED + "table budget 5.2 must be an integer equal to k_star 5.9 >= 1",
+    "k_star_string": MALFORMED + "table budget 5 must be an integer equal to k_star '5' >= 1",
+    "size_count_float": MALFORMED + "bad size histogram entry 3: 2.7",
+    "size_count_bool": MALFORMED + "bad size histogram entry 3: True",
     "size_key_padded": MALFORMED + "size histogram keys must be integers in plain decimal, not ['4', '5', '03']",
-    "structure_float": MALFORMED + "expected an integer, not 1.9",
-    "phi_i_float": MALFORMED + "expected an integer, not 1.5",
+    "structure_float": MALFORMED + "bad structure link (0, 1.9)",
+    "phi_i_float": MALFORMED + "phi key (1.5, 1) outside the vocabulary",
     "phi_key_repeated": MALFORMED + "phi key (1, 1, 127) repeats",
+    "size_key_repeated": "model bundle repeats the key '5' in one object",
+    "k_star_repeated": "model bundle repeats the key 'k_star' in one object",
     "alpha_bool": MALFORMED + "sequence item 0: expected str instance, bool found",
     "alpha_text": MALFORMED + "expected a list of reals, not '11111'",
     "beta_underscore": MALFORMED + "reals must be strings without whitespace or underscores, not "
@@ -301,13 +305,18 @@ def two_class_bundle(vocab=None, classes=None, **changes) -> ModelBundle:
     return ModelBundle(vocab, list(models) if classes is None else classes, models)
 
 
-VOCAB_RULE = "vocab must be a list of distinct non-empty strings"
+VOCAB_RULE = "action vocabulary must be distinct non-empty strings, not "
 CLASSES_RULE = "classes must be a list of distinct strings"
 
 # bundles that break a rule, each built as a caller would build it, with the text it raises
 UNWRITABLE_BUNDLES = {
-    "vocab_repeated": (lambda: two_class_bundle(vocab=["reach", "grasp", "pour", "reach"]), VOCAB_RULE),
-    "vocab_empty_name": (lambda: two_class_bundle(vocab=["reach", "", "pour", "stir"]), VOCAB_RULE),
+    "vocab_repeated": (
+        lambda: two_class_bundle(vocab=["reach", "grasp", "pour", "reach"]),
+        VOCAB_RULE + "['reach', 'grasp', 'pour', 'reach']",
+    ),
+    "vocab_empty_name": (
+        lambda: two_class_bundle(vocab=["reach", "", "pour", "stir"]), VOCAB_RULE + "['reach', '', 'pour', 'stir']"
+    ),
     "theta_rows_sum_to_half": (
         lambda: two_class_bundle(theta=two_class_models()["brew"].theta / 2), "theta rows must sum to 1"
     ),
