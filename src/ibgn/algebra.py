@@ -238,10 +238,6 @@ def compose_sets(set1: RelationSet, set2: RelationSet) -> RelationSet:
 _ORACLE_WINDOW = 8  # three intervals need at most 6 distinct endpoint values
 
 
-def _canonical_le(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-    return a[0] < b[0] or (a[0] == b[0] and a[1] <= b[1])
-
-
 @lru_cache(maxsize=1)
 def _brute_force_table() -> Tuple[Tuple[int, ...], ...]:
     """Derive all 49 composition cells by enumerating integer endpoints."""
@@ -249,11 +245,11 @@ def _brute_force_table() -> Tuple[Tuple[int, ...], ...]:
     table = [[0] * 7 for _ in range(7)]
     for iv1 in intervals:
         for iv2 in intervals:
-            if not _canonical_le(iv1, iv2):
+            if iv1 > iv2:  # canonical order is (start, end) tuple order
                 continue
             r12 = relation_of(iv1, iv2)
             for iv3 in intervals:
-                if not _canonical_le(iv2, iv3):
+                if iv2 > iv3:
                     continue
                 r13 = relation_of(iv1, iv3)
                 table[r12.value][relation_of(iv2, iv3).value] |= 1 << r13.value

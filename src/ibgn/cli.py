@@ -6,8 +6,7 @@ Subcommands: ``train``, ``predict``, ``eval``, ``generate``, ``perturb`` and
 ``eval`` take ``--jobs`` (default 1) and one flag per ``TrainConfig`` field;
 the refit's clamp bounds are constants with no flag.  Identical inputs,
 flags and seed produce byte-identical output files regardless of
-``--jobs``.  Set ``IBGN_LOG`` to ``error``, ``info`` or ``debug`` to
-control diagnostics on stderr.
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -41,22 +38,6 @@ from .network import check_consistency, instance_to_network
 
 __all__ = ["main"]
 
-log = logging.getLogger("ibgn")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("IBGN_LOG", "error").strip().lower()
-    if level not in _LOG_LEVELS:
-        level = "error"
-    logging.basicConfig(
-        level=_LOG_LEVELS[level],
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
 
@@ -73,7 +54,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for name in bundle.classes:
         model = bundle.models[name]
         print(f"{name}: k_star={model.k_star} links={len(model.structure)} occupied_tables={model.occupied_tables}")
-    log.info("wrote model bundle to %s", args.out)
     return 0
 
 
@@ -294,13 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_logging()
     try:
         return args.func(args)
     except (IbgnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -432,11 +432,9 @@ def learn_structure(instances: Sequence[Instance], vocab_size: int) -> Structure
     masks.  Pairs range over the longest instance's nodes; a shorter
     instance counts as null at the nodes past its end.
     """
-    if not instances:
-        raise EmptyCorpus("cannot learn structure from an empty corpus")
-    k_star = max(len(inst) for inst in instances)
+    k_star = max((len(inst) for inst in instances), default=0)
     if k_star == 0:
-        raise EmptyCorpus("every instance is empty")
+        raise EmptyCorpus("cannot learn structure without a non-empty instance")
     links = []
     for pair, joint in _family_counts(instances, k_star).items():
         if bic_family_score(joint, vocab_size, True) > bic_family_score(joint, vocab_size, False):
@@ -455,11 +453,9 @@ def train_class_model(
     rng: np.random.Generator,
 ) -> ClassModel:
     """Fit one class's full generative model from its labeled instances."""
-    if not instances:
-        raise EmptyCorpus("cannot train on an empty corpus")
     instances = [inst for inst in instances if len(inst) > 0]
     if not instances:
-        raise EmptyCorpus("every instance is empty")
+        raise EmptyCorpus("cannot train without a non-empty instance")
     k_star = max(len(inst) for inst in instances)
     if config.structure == "chain":
         mask = StructureMask.chain(k_star)

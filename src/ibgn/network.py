@@ -70,10 +70,6 @@ class Instance:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def is_canonical(self) -> bool:
-        keys = [_canonical_key(iv) for iv in self.intervals]
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
-
     def canonicalized(self) -> "Instance":
         ordered = tuple(sorted(self.intervals, key=_canonical_key))
         return replace(self, intervals=ordered)

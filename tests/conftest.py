@@ -39,6 +39,12 @@ def child_env(**overrides):
     return env
 
 
+def is_canonical(instance: Instance) -> bool:
+    """Whether the intervals are in canonical order: ``(start, end)`` tuple order."""
+    keys = [iv.times for iv in instance.intervals]
+    return keys == sorted(keys)
+
+
 def tiny_config(**overrides) -> TrainConfig:
     """A config small enough for unit tests but valid for the full pipeline."""
     defaults = dict(iterations=40, burn_in=10, avg_window=30, structure="chain")

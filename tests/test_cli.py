@@ -600,15 +600,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "c"
 
-    def test_debug_logging_goes_to_stderr(self, corpus_path, tmp_path):
-        out = tmp_path / "bundle.json"
+    def test_main_leaves_the_root_logger_alone(self):
+        script = (
+            "import logging; from ibgn.cli import main; "
+            "main(['algebra', 'compose', 'b', 'b']); print(len(logging.getLogger().handlers))"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "ibgn", "train", "--input", str(corpus_path),
-             "--out", str(out), *TRAIN_FLAGS],
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == ["b", "0"]
+
+    def test_train_in_process_leaves_stderr_empty(self, corpus_path, tmp_path):
+        """``IBGN_LOG`` once switched on a stderr line; it switches on nothing."""
+        out = tmp_path / "bundle.json"
+        argv = ["train", "--input", str(corpus_path), "--out", str(out), *TRAIN_FLAGS]
+        proc = subprocess.run(
+            [sys.executable, "-c", f"from ibgn.cli import main; raise SystemExit(main({argv!r}))"],
             capture_output=True,
             text=True,
             env=child_env(IBGN_LOG="info"),
         )
         assert proc.returncode == 0
-        assert "wrote model bundle" in proc.stderr
-        assert "wrote model bundle" not in proc.stdout
+        assert proc.stdout.startswith("assemble: k_star=")
+        assert proc.stderr == ""

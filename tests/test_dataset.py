@@ -23,7 +23,7 @@ from ibgn import (
 )
 from ibgn.dataset import Corpus
 from ibgn.errors import DegenerateInterval, EmptyCorpus, InsufficientClassInstances, ParseError
-from conftest import two_class_models
+from conftest import is_canonical, two_class_models
 
 
 def write_lines(tmp_path, *lines, name="corpus.jsonl"):
@@ -406,7 +406,7 @@ class TestPerturbDurations:
         outs = [perturb_durations(self._corpus(), 0.6, seed=4)]
         outs += [perturb_durations(tiny, 1.0, seed=seed) for seed in range(50)]
         for inst in (inst for out in outs for inst in out.instances):
-            assert inst.is_canonical()
+            assert is_canonical(inst)
             for iv in inst.intervals:
                 assert iv.start < iv.end
             # still a well-formed network
@@ -470,7 +470,7 @@ class TestBuildSyntheticCorpus:
         assert corpus.vocab == list(models["assemble"].action_vocab)
         for inst in corpus.instances:
             assert inst.label in models
-            assert inst.is_canonical()
+            assert is_canonical(inst)
             assert check_consistency(instance_to_network(inst)).consistent
 
     def test_sizes_come_from_histogram(self):

@@ -39,7 +39,8 @@ from ibgn.errors import EmptyConstraint, Unrealizable
 from ibgn import generate
 from ibgn.generate import _draw, draw_size
 from conftest import (
-    phi_is_float_tuples, random_actions_instance, random_instance, random_model, two_class_models, uniform_model,
+    is_canonical, phi_is_float_tuples, random_actions_instance, random_instance, random_model, two_class_models,
+    uniform_model,
 )
 
 
@@ -467,7 +468,7 @@ class TestRealizeTimestamps:
             inst = realize_timestamps(net, label="x")
             assert inst.label == "x"
             assert len(inst) == k
-            assert inst.is_canonical()
+            assert is_canonical(inst)
             realized = instance_to_network(inst)
             for (i, j), rel in net.relations.items():
                 assert realized.relation(i, j) is rel

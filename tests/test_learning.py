@@ -925,6 +925,10 @@ class TestBic:
         with pytest.raises(EmptyCorpus):
             learn_structure([], 2)
 
+    def test_all_empty_instances_rejected(self):
+        with pytest.raises(EmptyCorpus):
+            learn_structure([Instance(label=None, intervals=())] * 2, 2)
+
     def test_non_canonical_instance_rejected(self):
         """Learned-mode training reads every pair of every instance, so an
         instance out of canonical order cannot slip through."""
@@ -986,6 +990,10 @@ class TestTrainClassModel:
         )
         model.validate()
         assert model.k_star == 2
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(EmptyCorpus):
+            train_class_model([], ["x"], tiny_config(), np.random.default_rng(0))
 
     def test_empty_instances_filtered(self):
         corpus = [Instance(label=None, intervals=()), make_instance((1, 0, 1))]

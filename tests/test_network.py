@@ -28,7 +28,7 @@ from ibgn import (
 )
 from ibgn import network as network_module
 from ibgn.errors import EmptyConstraint, OrderViolation
-from conftest import random_actions_instance, random_instance
+from conftest import is_canonical, random_actions_instance, random_instance
 
 B, M, O, S, C, F, EQ = BaseRelation
 
@@ -45,7 +45,7 @@ class TestIntervalAndInstance:
         inst = make_instance((1, 5, 6), (2, 0, 4), (3, 0, 2))
         ordered = inst.canonicalized()
         assert [iv.times for iv in ordered.intervals] == [(0.0, 2.0), (0.0, 4.0), (5.0, 6.0)]
-        assert inst.canonicalized().is_canonical()
+        assert is_canonical(inst.canonicalized())
 
 
 class TestInstanceToNetwork:
