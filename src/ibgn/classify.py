@@ -12,11 +12,10 @@ and force the uniform-within-constraint fallback on links that touch them.
 
 from __future__ import annotations
 
-import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import NoModels
-from .generate import EPS, ClassModel, _log
+from .generate import ClassModel, _log
 from .network import Instance, scan_link_constraints
 
 __all__ = ["Prediction", "score_instance", "predict"]
@@ -39,16 +38,17 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     truncated for the relation part.  An empty instance scores 0.  An action
     id outside ``1 .. len(vocab)`` raises ``ValueError``.
     """
-    ids: List[Optional[int]] = []
+    terms = model.action_terms(vocab)
     score = 0.0
-    log_theta_mass = model.log_theta_mass
-    for iv in instance.intervals:
-        if not 1 <= iv.action <= len(vocab):
-            raise ValueError(f"action id {iv.action} outside vocabulary of size {len(vocab)}")
-        mid = model.action_id(vocab[iv.action - 1])
-        ids.append(mid)
-        score += log_theta_mass[mid - 1] if mid is not None else math.log(EPS)
-
+    intervals = instance.intervals
+    try:
+        for iv in intervals:
+            score += terms[iv.action]  # in interval order
+    except KeyError:
+        raise ValueError(f"action id {iv.action} outside vocabulary of size {len(vocab)}") from None
+    if not model.structure.links:
+        return score
+    ids = [model.action_id(vocab[iv.action - 1]) for iv in intervals]
     for n_prime, n, constraint, relation in scan_link_constraints(instance, model.structure):
         probs = model.relation_probs(ids[n_prime], ids[n], constraint)
         score += _log(probs[constraint.index_of(relation)])
@@ -66,4 +66,4 @@ def predict(
     scores = tuple([score_instance(model, instance, vocab) for _, model in models])
     ranked = sorted(scores)
     margin = ranked[-1] - ranked[-2] if len(ranked) > 1 else 0.0  # the runner-up is the second largest
-    return Prediction(label=models[scores.index(ranked[-1])][0], scores=scores, margin=margin)
+    return Prediction(models[scores.index(ranked[-1])][0], scores, margin)

@@ -242,7 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_options(ev)
     ev.set_defaults(func=_cmd_eval)
 
-    gen = commands.add_parser("generate", help="sample synthetic instances from one class")
+    gen = commands.add_parser(
+        "generate",
+        help="sample synthetic instances from one class",
+        description="Sample synthetic instances from one class of a bundle.  Only the class's "
+        "structure links fix relations: a bundle without links (what --structure learned "
+        "often gives) places every interval at [0, 1], so every pair is eq.",
+    )
     gen.add_argument("--model", required=True)
     gen.add_argument("--class", dest="class_name", required=True)
     gen.add_argument("--count", type=int, required=True)

@@ -58,8 +58,6 @@ class Corpus:
 
 
 def _require_number(value, line_no: int, what: str) -> float:
-    if type(value) is float and math.isfinite(value):  # most timestamps, as JSON parses them
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(line_no, f"{what} must be a number, got {value!r}")
     try:
@@ -71,29 +69,50 @@ def _require_number(value, line_no: int, what: str) -> float:
     return number
 
 
+# ``json.loads`` runs this parser after scanning the whitespace around the value
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value; str.strip() would take more
+
+
+def _parse_record(line: str, line_no: int):
+    """``json.loads(line)``, parsed once when it succeeds.  On any failure, and when text follows
+    the value, ``json.loads`` parses the line again, so the error reported is the one it raises."""
+    text = line.strip(_JSON_SPACE)
+    try:
+        record, end = _RAW_DECODE(text)
+        if end == len(text):
+            return record
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(line_no, "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer with more digits than the interpreter converts
+        raise ParseError(line_no, f"invalid JSON ({exc})") from exc
+
+
 def load_instances(path) -> Corpus:
     """Read a JSONL corpus; blank lines are ignored.
 
     Raises :class:`ParseError` (with the line number) on malformed or too
     deeply nested records and :class:`DegenerateInterval` on intervals with
-    start >= end.
+    start >= end.  Equal intervals (same action, start and end, the sign of
+    a zero included) are one shared :class:`Interval`.
     """
     instances: List[Instance] = []
     vocab: List[str] = []
     action_ids: Dict[str, int] = {}
     classes: Dict[str, str] = {}  # first-appearance order; one string object per label
+    shared: Dict[tuple, Interval] = {}  # one Interval per distinct (name, start, end)
+    inf, copysign = math.inf, math.copysign
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise ParseError(line_no, "JSON nested too deeply") from exc
-            except ValueError as exc:  # an integer with more digits than the interpreter converts
-                raise ParseError(line_no, f"invalid JSON ({exc})") from exc
+            record = _parse_record(line, line_no)
             if not isinstance(record, dict) or not isinstance(record.get("intervals"), list):
                 raise ParseError(line_no, "record must be an object with an 'intervals' list")
             label = record.get("label")
@@ -104,18 +123,27 @@ def load_instances(path) -> Corpus:
                 name = entry.get("action") if isinstance(entry, dict) else None
                 if not isinstance(name, str) or not name:
                     raise ParseError(line_no, "interval must be an object with a non-empty string 'action'")
-                start = _require_number(entry.get("start"), line_no, "start")
-                end = _require_number(entry.get("end"), line_no, "end")
-                if start >= end:
-                    raise DegenerateInterval(
-                        f"line {line_no}: interval [{start}, {end}] of "
-                        f"action {name!r} has start >= end"
-                    )
-                action = action_ids.get(name)
-                if action is None:
-                    action = action_ids[name] = len(vocab) + 1
-                    vocab.append(name)
-                intervals.append(Interval(action, start, end))
+                start = entry.get("start")
+                end = entry.get("end")
+                if not (type(start) is float and type(end) is float and -inf < start < end < inf):
+                    start = _require_number(start, line_no, "start")
+                    end = _require_number(end, line_no, "end")
+                    if start >= end:
+                        raise DegenerateInterval(
+                            f"line {line_no}: interval [{start}, {end}] of "
+                            f"action {name!r} has start >= end"
+                        )
+                key = (name, start, end)
+                if not (start and end):  # -0.0 == 0.0, so a zero endpoint keys on its sign too
+                    key += (copysign(1.0, start), copysign(1.0, end))
+                interval = shared.get(key)
+                if interval is None:
+                    action = action_ids.get(name)
+                    if action is None:
+                        action = action_ids[name] = len(vocab) + 1
+                        vocab.append(name)
+                    interval = shared[key] = Interval(action, start, end)
+                intervals.append(interval)
             if label is not None:
                 label = classes.setdefault(label, label)
             intervals.sort(key=_canonical_key)

@@ -100,6 +100,7 @@ class ClassModel:
         # per table: the running sums of all but the last theta entry, which the sampler bisects
         self.theta_cumulative = [list(accumulate(row[:-1])) for row in self.theta.tolist()]
         self.alpha_list = self.alpha.tolist()
+        self._terms = None  # (vocab, its names as a tuple, action_terms(vocab)) of the last vocabulary
 
     @property
     def M(self) -> int:
@@ -108,6 +109,21 @@ class ClassModel:
     def action_id(self, name: str) -> Optional[int]:
         """Vocabulary id (1..M) of an action name, or None if unknown."""
         return self._action_ids.get(name)
+
+    def action_terms(self, vocab: Sequence[str]) -> Dict[int, float]:
+        """Per id ``1 .. len(vocab)`` of a corpus vocabulary, the action term scoring adds for it:
+        the log θ mass of the action that name is, or ``log(EPS)`` for a name the model lacks.  The
+        dict is built once per vocabulary and again whenever ``vocab`` is another object or its
+        names changed, so a list edited in place is never served a stale table."""
+        cached = self._terms
+        names = tuple(vocab)
+        if cached is not None and cached[0] is vocab and cached[1] == names:
+            return cached[2]
+        log_mass, unknown = self.log_theta_mass, math.log(EPS)
+        ids = self._action_ids
+        terms = {i: log_mass[ids[name] - 1] if name in ids else unknown for i, name in enumerate(names, 1)}
+        self._terms = (vocab, names, terms)
+        return terms
 
     def relation_probs(self, i: Optional[int], j: Optional[int], constraint: RelationSet) -> Tuple[float, ...]:
         """The phi vector of actions ``i``, ``j`` under ``constraint``, or the uniform

@@ -115,7 +115,7 @@ def _reals(values) -> List[float]:
     joined = "".join(values)  # TypeError on a value that is not a string
     if joined.split() != [joined] or "_" in joined or not joined.isascii():
         raise ValueError(f"reals must be strings without whitespace or underscores, not {values!r}")
-    return [float(v) for v in values]
+    return list(map(float, values))
 
 
 # each non-empty relation set by its spelling in a saved bundle: canonical member order, which the

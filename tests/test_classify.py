@@ -248,3 +248,74 @@ def test_log_table_scores_are_bit_identical_to_logs_taken_at_score_time(mask):
             got = score_instance(model, inst, vocab)
             assert got.hex() == reference_score_instance(model, inst, vocab).hex()
     assert floored == 12 and links > 0
+
+
+class TestActionTermTable:
+    """``score_instance`` adds one term per interval from ``ClassModel.action_terms(vocab)``; every
+    score must be the float that looking each name up by ``model.action_id(vocab[a - 1])`` gives."""
+
+    @staticmethod
+    def models(rng):
+        models = [random_model(rng, vocab_size=4, k_star=5) for _ in range(2)]
+        return [dataclasses.replace(models[0], structure=StructureMask.of([])), models[1]]  # no links, full
+
+    def assert_scores_match(self, rng, models, vocab, count=10):
+        for _ in range(count):
+            inst = random_actions_instance(rng, int(rng.integers(0, 7)), len(vocab))
+            for model in models:
+                got = score_instance(model, inst, vocab)
+                assert got.hex() == reference_score_instance(model, inst, vocab).hex()
+
+    def test_own_permuted_unknown_and_tuple_vocabularies(self):
+        rng = np.random.default_rng(51)
+        models = self.models(rng)
+        own = list(models[0].action_vocab)
+        permuted = [own[i] for i in rng.permutation(len(own))]
+        with_unknowns = [own[1], "stranger", own[3], "other", own[0]]
+        for vocab in (own, permuted, with_unknowns, tuple(permuted), tuple(with_unknowns)):
+            self.assert_scores_match(rng, models, vocab)
+        terms = models[0].action_terms(with_unknowns)
+        assert terms[2] == terms[4] == math.log(EPS)
+        assert sorted(terms) == [1, 2, 3, 4, 5]
+
+    def test_a_list_edited_in_place_is_never_served_a_stale_table(self):
+        rng = np.random.default_rng(52)
+        models = self.models(rng)
+        vocab = list(models[0].action_vocab)
+        for edit in (list.reverse, lambda v: v.__setitem__(0, "stranger"), lambda v: v.append(v.pop(0))):
+            self.assert_scores_match(rng, models, vocab, count=4)
+            edit(vocab)
+            self.assert_scores_match(rng, models, vocab, count=4)
+        vocab.append("act0")  # an id that did not exist before now scores
+        inst = Instance(None, (Interval(len(vocab), 0.0, 1.0),))
+        assert score_instance(models[0], inst, vocab) == reference_score_instance(models[0], inst, vocab)
+
+    def test_an_equal_vocabulary_in_another_object_gets_its_own_table(self):
+        model = self.models(np.random.default_rng(53))[0]
+        vocab = list(model.action_vocab)
+        first = model.action_terms(vocab)
+        assert model.action_terms(vocab) is first
+        assert model.action_terms(list(vocab)) == first
+        assert model.action_terms(list(vocab)) is not first
+
+    @pytest.mark.parametrize("vocab", [["act0", "act1", "act2"], ("act2", "stranger")], ids=["list", "tuple"])
+    def test_ids_outside_the_vocabulary_still_raise(self, vocab):
+        model = self.models(np.random.default_rng(54))[1]
+        for action in (0, -1, len(vocab) + 1):
+            inst = Instance(None, (Interval(1, 0.0, 1.0), Interval(action, 2.0, 3.0)))
+            with pytest.raises(ValueError) as excinfo:
+                score_instance(model, inst, vocab)
+            assert str(excinfo.value) == f"action id {action} outside vocabulary of size {len(vocab)}"
+        inst = Instance(None, (Interval(1, 0.0, 1.0),))
+        assert score_instance(model, inst, vocab) == reference_score_instance(model, inst, vocab)
+
+    def test_the_table_never_leaks_between_models(self):
+        rng = np.random.default_rng(55)
+        first, second = self.models(rng)
+        reweighed = dataclasses.replace(first, theta=second.theta)
+        vocab = ["act3", "act0", "stranger", "act1"]
+        for _ in range(3):  # interleave the models on one vocabulary object
+            self.assert_scores_match(rng, [first, second, reweighed], vocab, count=5)
+        tables = [model.action_terms(vocab) for model in (first, second, reweighed)]
+        assert tables[0] != tables[1] and tables[2] == tables[1]
+        assert len({id(table) for table in tables}) == 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import sys
 from math import comb
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from ibgn import IntervalNetwork, StructureMask, build_synthetic_corpus, instance_to_network
+from ibgn import ModelBundle, save_bundle, save_instances
 from ibgn import classify, generate, learning
 from conftest import random_actions_instance, random_instance, random_model, tiny_config, two_class_models
 
@@ -153,3 +155,37 @@ def test_traced_prediction_spans_every_class_score_and_counts_chain_links():
     chain_links = sum(min(len(instance), 4) - 1 for instance in corpus.instances)
     assert all(model.structure == StructureMask.chain(4) for _, model in models)
     assert tracer.counts["probe"]["network.links_scanned"] == len(models) * chain_links > 0
+
+
+def load_workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module; its dataclasses need it in ``sys.modules`` while they are made."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", TRACING.with_name("workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_predict_stage_spans_each_load_and_every_class_score(tmp_path, monkeypatch):
+    """``dataset.load_instances_ms``, ``model_io.load_bundle_ms`` and ``classify.score_instance_us_p50``
+    read these spans: one per corpus and per bundle load, one per class for each instance."""
+    models = two_class_models(k_star=4)
+    corpus = build_synthetic_corpus(models, per_class=5, seed=8)
+    save_bundle(tmp_path / "bundle.json", ModelBundle(list(corpus.vocab), sorted(models), models))
+    save_instances(corpus, tmp_path / "test.jsonl")
+    workloads = load_workloads(monkeypatch)
+    unused = tmp_path / "unused"
+    inputs = workloads.Inputs(0, unused, tmp_path / "test.jsonl", tmp_path / "bundle.json", unused, unused, 0)
+    results = [workloads.PassResult() for _ in range(2)]
+    tracer = load_tracing().Tracer()
+    tracer.run_id = "probe"
+    try:
+        tracer.install()
+        for result in results:
+            workloads.predict_stage(inputs, result)
+    finally:
+        tracer.uninstall()
+    names = [name for _, name, *_ in tracer.spans]
+    assert names.count("dataset.load_instances") == names.count("model_io.load_bundle") == len(results)
+    assert names.count("classify.score_instance") == len(results) * len(corpus) * len(models) == 40
+    assert all(result.failed == 0 and result.labels for result in results)
