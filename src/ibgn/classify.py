@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import NoModels
-from .generate import ClassModel, _log
+from .generate import _LOG_EPS, ClassModel, _log
 from .network import Instance, scan_link_constraints
 
 __all__ = ["Prediction", "score_instance", "predict"]
@@ -38,14 +38,13 @@ def score_instance(model: ClassModel, instance: Instance, vocab: Sequence[str]) 
     truncated for the relation part.  An empty instance scores 0.  An action
     id outside ``1 .. len(vocab)`` raises ``ValueError``.
     """
-    terms = model.action_terms(vocab)
+    terms, size = model.log_theta_mass, len(vocab)
     score = 0.0
     intervals = instance.intervals
-    try:
-        for iv in intervals:
-            score += terms[iv.action]  # in interval order
-    except KeyError:
-        raise ValueError(f"action id {iv.action} outside vocabulary of size {len(vocab)}") from None
+    for iv in intervals:
+        if not 0 < iv.action <= size:  # vocab[-1] would take id 0
+            raise ValueError(f"action id {iv.action} outside vocabulary of size {size}")
+        score += terms.get(vocab[iv.action - 1], _LOG_EPS)  # in interval order
     if not model.structure.links:
         return score
     ids = [model.action_id(vocab[iv.action - 1]) for iv in intervals]

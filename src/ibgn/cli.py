@@ -103,6 +103,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     classes = corpus.classes
     confusion = {true: {pred: 0 for pred in classes} for true in classes}
     fold_accuracies: List[float] = []
+    accuracy_total = 0.0  # left to right: from Python 3.12 on, builtin sum() compensates
     for fold, (train_part, test_part) in enumerate(splits):
         if args.perturb:
             test_part = _perturb_corpus(test_part, args.perturb, args.rate, [args.seed, 101, fold])
@@ -113,8 +114,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             hits += int(result.label == instance.label)
         accuracy = hits / len(test_part.instances)
         fold_accuracies.append(accuracy)
+        accuracy_total += accuracy
         print(f"fold {fold}: accuracy {accuracy:.4f}")
-    mean_accuracy = sum(fold_accuracies) / len(fold_accuracies)
+    mean_accuracy = accuracy_total / len(fold_accuracies)
     print(f"mean accuracy {mean_accuracy:.4f}")
     if args.out_report:
         report = {

@@ -50,10 +50,11 @@ __all__ = [
 ]
 
 EPS = 1e-8  # floor probability for actions/relations the model cannot explain
+_LOG_EPS = math.log(EPS)  # the log term of every floored probability
 
 
 def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else math.log(EPS)
+    return math.log(p) if p > 0.0 else _LOG_EPS
 
 
 def _distinct_names(names) -> bool:
@@ -72,8 +73,10 @@ class ClassModel:
     left-to-right running sums of all but the last θ entry, and ``alpha_list`` is α as a list; the
     sampler draws from both, made once.  ``k_star``, ``ell``, each φ key's ids and bits and the
     size histogram's sizes and counts must be integers (``int`` or numpy, never a bool or float):
-    they are checked, never truncated.  ``action_vocab`` must be distinct non-empty strings.  No field
-    is reassigned after construction.
+    they are checked, never truncated.  ``action_vocab`` must be distinct non-empty strings.
+    ``log_theta_mass`` maps each action name to the log of its total θ mass over the tables, the
+    term scoring adds per interval; scoring reads it and keeps nothing.  No field is reassigned
+    after construction, and only training's ``occupied_tables`` is set after it.
     """
 
     k_star: int
@@ -95,12 +98,10 @@ class ClassModel:
         self.validate()
         self.size_histogram = {int(k): int(v) for k, v in self.size_histogram.items()}  # checked integers
         self._action_ids = {name: i + 1 for i, name in enumerate(self.action_vocab)}
-        # per action: the log of its total mass over the tables, the term scoring adds per interval
-        self.log_theta_mass = [_log(mass) for mass in self.theta.sum(axis=0).tolist()]
+        self.log_theta_mass = dict(zip(self.action_vocab, map(_log, self.theta.sum(axis=0).tolist())))
         # per table: the running sums of all but the last theta entry, which the sampler bisects
         self.theta_cumulative = [list(accumulate(row[:-1])) for row in self.theta.tolist()]
         self.alpha_list = self.alpha.tolist()
-        self._terms = None  # (vocab, its names as a tuple, action_terms(vocab)) of the last vocabulary
 
     @property
     def M(self) -> int:
@@ -109,21 +110,6 @@ class ClassModel:
     def action_id(self, name: str) -> Optional[int]:
         """Vocabulary id (1..M) of an action name, or None if unknown."""
         return self._action_ids.get(name)
-
-    def action_terms(self, vocab: Sequence[str]) -> Dict[int, float]:
-        """Per id ``1 .. len(vocab)`` of a corpus vocabulary, the action term scoring adds for it:
-        the log θ mass of the action that name is, or ``log(EPS)`` for a name the model lacks.  The
-        dict is built once per vocabulary and again whenever ``vocab`` is another object or its
-        names changed, so a list edited in place is never served a stale table."""
-        cached = self._terms
-        names = tuple(vocab)
-        if cached is not None and cached[0] is vocab and cached[1] == names:
-            return cached[2]
-        log_mass, unknown = self.log_theta_mass, math.log(EPS)
-        ids = self._action_ids
-        terms = {i: log_mass[ids[name] - 1] if name in ids else unknown for i, name in enumerate(names, 1)}
-        self._terms = (vocab, names, terms)
-        return terms
 
     def relation_probs(self, i: Optional[int], j: Optional[int], constraint: RelationSet) -> Tuple[float, ...]:
         """The phi vector of actions ``i``, ``j`` under ``constraint``, or the uniform
@@ -293,48 +279,56 @@ _SIGNS = {
 
 
 def _place(chosen: List[Tuple[int, int]], fixed: List[list]) -> bool:
-    """Depth-first placement of one interval per node on the grid ``0 .. 2k``;
-    not a closure, so no cycle keeps frames alive.
+    """Depth-first placement of one interval per node after ``chosen`` on the grid
+    ``0 .. 2k``, extending ``chosen`` in place (left as it came when none exists).
 
     Node ``n``'s fixed relations bound its start to ``s_lo .. s_hi`` and its
-    end to ``e_lo .. e_hi``, and the walk visits that box in lexicographic
+    end to ``e_lo .. e_hi``, and the search visits that box in lexicographic
     order from the previous placement (canonical node order), so it tries
-    exactly the grid points a scan checking every fixed relation accepts."""
-    n = len(chosen)
-    if n == len(fixed):
-        return True
-    last_s, last_e = chosen[-1] if chosen else (0, 1)
+    exactly the grid points a scan checking every fixed relation accepts.  A
+    dead end resumes the previous node inside the box kept for it: the search
+    does not recurse, so it places any number of nodes."""
     top = 2 * len(fixed)
-    s_lo, s_hi, e_lo, e_hi = last_s, top - 1, 0, top
-    for p, start_sign, cross_sign, end_sign in fixed[n]:
-        start, end = chosen[p]
-        # a sign of x - at puts x at or past at + sign when >= 0, at or before it when <= 0
-        bound = start + start_sign
-        if start_sign >= 0 and bound > s_lo:
-            s_lo = bound
-        if start_sign <= 0 and bound < s_hi:
-            s_hi = bound
-        bound = end + cross_sign
-        if cross_sign >= 0 and bound > s_lo:
-            s_lo = bound
-        if cross_sign <= 0 and bound < s_hi:
-            s_hi = bound
-        bound = end + end_sign
-        if end_sign >= 0 and bound > e_lo:
-            e_lo = bound
-        if end_sign <= 0 and bound < e_hi:
-            e_hi = bound
-    for s in range(s_lo, s_hi + 1):
+    boxes: List[Tuple[int, int, int]] = []  # (s_hi, e_lo, e_hi) of each node placed here
+    while len(chosen) < len(fixed):
+        last_s, last_e = chosen[-1] if chosen else (0, 1)
+        s_lo, s_hi, e_lo, e_hi = last_s, top - 1, 0, top
+        for p, start_sign, cross_sign, end_sign in fixed[len(chosen)]:
+            start, end = chosen[p]
+            # a sign of x - at puts x at or past at + sign when >= 0, at or before it when <= 0
+            bound = start + start_sign
+            if start_sign >= 0 and bound > s_lo:
+                s_lo = bound
+            if start_sign <= 0 and bound < s_hi:
+                s_hi = bound
+            bound = end + cross_sign
+            if cross_sign >= 0 and bound > s_lo:
+                s_lo = bound
+            if cross_sign <= 0 and bound < s_hi:
+                s_hi = bound
+            bound = end + end_sign
+            if end_sign >= 0 and bound > e_lo:
+                e_lo = bound
+            if end_sign <= 0 and bound < e_hi:
+                e_hi = bound
+        s = s_lo
         e = last_e if s == last_s else s + 1
         if e < e_lo:
             e = e_lo
-        while e <= e_hi:
-            chosen.append((s, e))
-            if _place(chosen, fixed):
-                return True
-            chosen.pop()
+        while True:
+            if e > e_hi and s < s_hi:  # this start's ends are used up: the next start's begin at s + 2
+                s += 1
+                e = s + 1 if s >= e_lo else e_lo
+            if s <= s_hi and e <= e_hi:
+                break
+            # the box is used up (a later start's first end is later still): resume the previous node
+            if not boxes:
+                return False
+            (s, e), (s_hi, e_lo, e_hi) = chosen.pop(), boxes.pop()
             e += 1
-    return False
+        chosen.append((s, e))
+        boxes.append((s_hi, e_lo, e_hi))
+    return True
 
 
 @lru_cache(maxsize=1024)

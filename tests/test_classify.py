@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestScoreInstance:
             model = random_model(rng, vocab_size=3, k_star=5)
             if trial % 2:
                 model = dataclasses.replace(model, structure=StructureMask.chain(5))
-            assert model.log_theta_mass == [_log(mass) for mass in model.theta.sum(axis=0).tolist()]
+            assert model.log_theta_mass == dict(zip(model.action_vocab, map(_log, model.theta.sum(axis=0).tolist())))
             for _ in range(10):
                 inst = random_actions_instance(rng, int(rng.integers(0, 8)), len(vocab))
                 assert score_instance(model, inst, vocab) == reference_score_instance(model, inst, vocab)
@@ -240,8 +241,8 @@ def test_log_table_scores_are_bit_identical_to_logs_taken_at_score_time(mask):
         else:
             structure = StructureMask.of([pair for pair in pairs if rng.random() < 0.5])
         model = dataclasses.replace(model, theta=theta, phi=kept, structure=structure)
-        assert model.log_theta_mass == [_log(mass) for mass in model.theta.sum(axis=0).tolist()]
-        floored += model.log_theta_mass.count(math.log(EPS))
+        assert model.log_theta_mass == dict(zip(model.action_vocab, map(_log, model.theta.sum(axis=0).tolist())))
+        floored += list(model.log_theta_mass.values()).count(math.log(EPS))
         for _ in range(15):
             inst = random_actions_instance(rng, int(rng.integers(0, k_star + 3)), len(vocab))
             links += sum(1 for _ in network.scan_link_constraints(inst, structure))
@@ -251,8 +252,8 @@ def test_log_table_scores_are_bit_identical_to_logs_taken_at_score_time(mask):
 
 
 class TestActionTermTable:
-    """``score_instance`` adds one term per interval from ``ClassModel.action_terms(vocab)``; every
-    score must be the float that looking each name up by ``model.action_id(vocab[a - 1])`` gives."""
+    """``score_instance`` adds one term per interval from the name-keyed ``ClassModel.log_theta_mass``;
+    every score must be the float that looking each name up by ``model.action_id(vocab[a - 1])`` gives."""
 
     @staticmethod
     def models(rng):
@@ -274,9 +275,8 @@ class TestActionTermTable:
         with_unknowns = [own[1], "stranger", own[3], "other", own[0]]
         for vocab in (own, permuted, with_unknowns, tuple(permuted), tuple(with_unknowns)):
             self.assert_scores_match(rng, models, vocab)
-        terms = models[0].action_terms(with_unknowns)
-        assert terms[2] == terms[4] == math.log(EPS)
-        assert sorted(terms) == [1, 2, 3, 4, 5]
+        terms = models[0].log_theta_mass
+        assert sorted(terms) == sorted(own) and "stranger" not in terms and "other" not in terms
 
     def test_a_list_edited_in_place_is_never_served_a_stale_table(self):
         rng = np.random.default_rng(52)
@@ -290,13 +290,18 @@ class TestActionTermTable:
         inst = Instance(None, (Interval(len(vocab), 0.0, 1.0),))
         assert score_instance(models[0], inst, vocab) == reference_score_instance(models[0], inst, vocab)
 
-    def test_an_equal_vocabulary_in_another_object_gets_its_own_table(self):
-        model = self.models(np.random.default_rng(53))[0]
-        vocab = list(model.action_vocab)
-        first = model.action_terms(vocab)
-        assert model.action_terms(vocab) is first
-        assert model.action_terms(list(vocab)) == first
-        assert model.action_terms(list(vocab)) is not first
+    def test_scoring_leaves_the_model_untouched(self):
+        rng = np.random.default_rng(53)
+        models = self.models(rng)
+        before = [(dict(vars(model)), pickle.dumps(model)) for model in models]
+        own = list(models[0].action_vocab)
+        for _ in range(20):
+            vocab = [own[i] for i in rng.permutation(len(own))] + ["stranger"]
+            self.assert_scores_match(rng, models, vocab if rng.random() < 0.5 else tuple(vocab), count=2)
+        for model, (attributes, state) in zip(models, before):
+            assert vars(model).keys() == attributes.keys()
+            assert all(vars(model)[name] is value for name, value in attributes.items())
+            assert pickle.dumps(model) == state
 
     @pytest.mark.parametrize("vocab", [["act0", "act1", "act2"], ("act2", "stranger")], ids=["list", "tuple"])
     def test_ids_outside_the_vocabulary_still_raise(self, vocab):
@@ -316,6 +321,6 @@ class TestActionTermTable:
         vocab = ["act3", "act0", "stranger", "act1"]
         for _ in range(3):  # interleave the models on one vocabulary object
             self.assert_scores_match(rng, [first, second, reweighed], vocab, count=5)
-        tables = [model.action_terms(vocab) for model in (first, second, reweighed)]
+        tables = [model.log_theta_mass for model in (first, second, reweighed)]
         assert tables[0] != tables[1] and tables[2] == tables[1]
         assert len({id(table) for table in tables}) == 3

@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from ibgn import (
-    ModelBundle, StructureMask, TrainConfig, load_bundle, load_instances, save_bundle,
+    ModelBundle, Prediction, StructureMask, TrainConfig, load_bundle, load_instances, save_bundle,
     save_instances,
 )
 from ibgn import cli
@@ -331,6 +332,36 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_mean_accuracy_is_summed_left_to_right(self, tmp_path, monkeypatch):
+        """Fold accuracies 0.1, 0.2 and 0.3 sum to 0.6000000000000001 left to right and to 0.6
+        compensated, so the report's bytes would follow the Python version if eval used sum()."""
+        corpus_file = tmp_path / "corpus.jsonl"
+        save_instances(build_synthetic_corpus(two_class_models(k_star=4), per_class=15, seed=13), corpus_file)
+
+        def report(*patched):
+            hits = iter([1, 2, 3])  # of 10 instances per fold
+
+            def scripted_rows(bundle, corpus):
+                correct = next(hits)
+                for index, instance in enumerate(corpus.instances):
+                    other = next(name for name in corpus.classes if name != instance.label)
+                    yield index, instance, Prediction(instance.label if index < correct else other, (), 0.0)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "train_bundle", lambda *arguments: None)
+                patch.setattr(cli, "_prediction_rows", scripted_rows)
+                for name, value in patched:
+                    patch.setattr(cli, name, value, raising=False)
+                path = tmp_path / "report.json"
+                assert main(["eval", "--input", str(corpus_file), "--folds", "3", "--out-report", str(path)]) == 0
+                return path.read_bytes()
+
+        plain = report()
+        assert json.loads(plain)["folds"] == ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"]
+        assert json.loads(plain)["mean_accuracy"] == format((0.1 + 0.2 + 0.3) / 3, ".17g")
+        assert report(("sum", math.fsum)) == plain
+
+
 class TestGenerate:
     def test_fixed_size(self, bundle_path, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"
@@ -410,6 +441,21 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+    def test_generates_more_nodes_than_the_recursion_limit(self, tmp_path):
+        k = 1200
+        model = dataclasses.replace(
+            random_model(np.random.default_rng(1200), 2, 2),
+            k_star=k, ell=k, alpha=np.ones(k), beta=np.full((k, 2), 0.5), theta=np.full((k, 2), 0.5),
+            structure=StructureMask.of([]), phi={}, size_histogram={k: 1},
+        )
+        path, out = tmp_path / "bundle.json", tmp_path / "gen.jsonl"
+        save_bundle(path, ModelBundle(vocab=list(model.action_vocab), classes=["c"], models={"c": model}))
+        code = main(["generate", "--model", str(path), "--class", "c", "--size", str(k), "--count", "1", "--out", str(out)])
+        assert code == 0
+        [instance] = load_instances(out).instances
+        assert len(instance) == k
 
 
 class TestPerturb:

@@ -99,15 +99,71 @@ def scan_place(chosen, fixed, candidates, start, accepted) -> bool:
     return False
 
 
-def traced_search(monkeypatch, network):
+def recursive_place(chosen, fixed, accepted) -> bool:
+    """Oracle for ``generate._place``: the recursive depth-first search it
+    replaced, one call per node, so it holds only as many nodes as Python's
+    recursion limit; every placement it accepts is appended to ``accepted``."""
+    n = len(chosen)
+    if n == len(fixed):
+        return True
+    last_s, last_e = chosen[-1] if chosen else (0, 1)
+    top = 2 * len(fixed)
+    s_lo, s_hi, e_lo, e_hi = last_s, top - 1, 0, top
+    for p, start_sign, cross_sign, end_sign in fixed[n]:
+        start, end = chosen[p]
+        bound = start + start_sign
+        if start_sign >= 0 and bound > s_lo:
+            s_lo = bound
+        if start_sign <= 0 and bound < s_hi:
+            s_hi = bound
+        bound = end + cross_sign
+        if cross_sign >= 0 and bound > s_lo:
+            s_lo = bound
+        if cross_sign <= 0 and bound < s_hi:
+            s_hi = bound
+        bound = end + end_sign
+        if end_sign >= 0 and bound > e_lo:
+            e_lo = bound
+        if end_sign <= 0 and bound < e_hi:
+            e_hi = bound
+    for s in range(s_lo, s_hi + 1):
+        e = last_e if s == last_s else s + 1
+        if e < e_lo:
+            e = e_lo
+        while e <= e_hi:
+            chosen.append((s, e))
+            accepted.append((s, e))
+            if recursive_place(chosen, fixed, accepted):
+                return True
+            chosen.pop()
+            e += 1
+    return False
+
+
+class Accepting(list):
+    """A placement list for ``generate._place`` that also appends each placement
+    the search accepts to ``accepted``."""
+
+    def __init__(self, accepted, placed=()):
+        super().__init__(placed)
+        self.accepted = accepted
+
+    def append(self, placement):
+        self.accepted.append(placement)
+        super().append(placement)
+
+
+def traced_search(monkeypatch, network, accepted=None):
     """``realize_timestamps(network)`` (or ``Unrealizable``) and the placements
-    its search accepted, in order, recorded on every recursive ``_place`` call."""
-    place, accepted = generate._place, []
+    its search accepted, in order, appended to ``accepted`` (a new list by default)."""
+    place = generate._place
+    accepted = [] if accepted is None else accepted
 
     def recording(chosen, fixed):
-        if chosen:
-            accepted.append(chosen[-1])
-        return place(chosen, fixed)
+        traced = Accepting(accepted, chosen)
+        found = place(traced, fixed)
+        chosen[:] = traced
+        return found
 
     monkeypatch.setattr(generate, "_place", recording)
     try:
@@ -517,23 +573,19 @@ class TestRealizeTimestamps:
                 realize_timestamps(net)
         assert searches == []  # no search started
 
-    def test_box_admits_exactly_the_placements_of_its_relation(self, monkeypatch):
+    def test_box_admits_exactly_the_placements_of_its_relation(self):
         """For a placed interval p on the grid 0 .. 10 and each relation r, the
         search offers the next node exactly the (s, e) >=lex p with
         relation_of(p, (s, e)) == r, in lexicographic order."""
-        place, offered = generate._place, []
-
-        def offer(chosen, fixed):
-            offered.append(chosen[-1])
-            return False
-
-        monkeypatch.setattr(generate, "_place", offer)
+        b, eq = generate._SIGNS[BaseRelation.BEFORE], generate._SIGNS[BaseRelation.EQUALS]
         grid = list(combinations(range(11), 2))
         for placed in grid:
             for relation in BaseRelation:
-                offered.clear()
-                fixed = [[], [(0, *generate._SIGNS[relation])], [], [], []]  # five nodes: grid 0 .. 10
-                assert place([placed], fixed) is False
+                # five nodes (grid 0 .. 10); node 2 has no placement, so node 1 tries every one of its own
+                fixed = [[], [(0, *generate._SIGNS[relation])], [(0, *b), (0, *eq)], [], []]
+                offered = []
+                chosen = Accepting(offered, [placed])
+                assert generate._place(chosen, fixed) is False and chosen == [placed]
                 want = [iv for iv in grid if iv >= placed and relation_of(placed, iv) is relation]
                 assert offered == want, (placed, relation)
 
@@ -571,6 +623,77 @@ class TestRealizeTimestamps:
                 outcomes["unrealizable"] += 1
             assert accepted == scanned
         assert outcomes["realized"] >= 200 and outcomes["unrealizable"] >= 1
+
+    def test_search_matches_recursive_oracle(self, monkeypatch):
+        """The iterative search accepts the same placements in the same order as
+        the recursive one, and ends with the same placement or fails like it, on
+        sampled chain, full and random-mask networks (k = 2..7) and on random
+        relation sets (k = 2..5), when they pass the consistency walk.  A search
+        that runs past 15,000 placements is skipped: both take seconds on a few
+        of these networks, and on more of the random sets past k = 5."""
+
+        class Capped(list):
+            def append(self, placement):
+                if len(self) == 15000:
+                    raise OverflowError
+                super().append(placement)
+
+        rng = np.random.default_rng(3232)
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        relations, networks = list(generate._SIGNS), []
+        for k in range(2, 8):
+            model = random_model(np.random.default_rng([3232, k]), vocab_size=3, k_star=k)
+            masks = [StructureMask.chain(k), StructureMask.full(k)]
+            masks += [StructureMask.of([(i, j) for i, j in pairs if j < k and rng.random() < 0.4]) for _ in range(6)]
+            for mask in masks:
+                for _ in range(12):
+                    try:
+                        networks.append(sample_network(dataclasses.replace(model, structure=mask), k, rng))
+                    except EmptyConstraint:  # a mask neither chain nor full can empty a constraint
+                        pass
+            for _ in range(60 if k <= 5 else 0):
+                drawn = {pair: relations[int(rng.integers(len(relations)))] for pair in pairs if pair[1] < k}
+                networks.append(IntervalNetwork((1,) * k, {p: r for p, r in drawn.items() if rng.random() < 0.3}))
+        outcomes = Counter()
+        for net in [*networks, UNREALIZABLE]:
+            try:
+                result, placed = traced_search(monkeypatch, net, Capped())
+            except EmptyConstraint:
+                outcomes["empty constraint"] += 1
+                continue
+            except OverflowError:
+                outcomes["skipped"] += 1
+                continue
+            fixed = [[] for _ in range(net.size)]
+            for (i, j), relation in net.relations.items():
+                fixed[j].append((i, *generate._SIGNS[relation]))
+            chosen, accepted = [], Capped()
+            if recursive_place(chosen, fixed, accepted):
+                assert result.intervals == tuple(
+                    Interval(net.actions[n], float(s), float(e)) for n, (s, e) in enumerate(chosen)
+                )
+                outcomes["realized"] += 1
+            else:
+                assert result is Unrealizable
+                outcomes["unrealizable"] += 1
+            assert placed == accepted
+        assert outcomes["realized"] >= 500 and outcomes["unrealizable"] >= 2 and outcomes["skipped"] <= 60, outcomes
+
+    @pytest.mark.parametrize("chained", [True, False], ids=["chain", "no_relations"])
+    def test_realizes_more_nodes_than_the_recursion_limit(self, chained):
+        k, cycle = 1200, list(BaseRelation)
+        relations = {(n, n + 1): cycle[n % len(cycle)] for n in range(k - 1)} if chained else {}
+        net = IntervalNetwork(tuple(1 + n % 3 for n in range(k)), relations)
+        inst = realize_timestamps(net, label="long")
+        assert len(inst) == k and is_canonical(inst)
+        assert [iv.action for iv in inst.intervals] == list(net.actions)
+        assert all(0 <= iv.start < iv.end <= 2 * k for iv in inst.intervals)
+        pairs = zip(inst.intervals, inst.intervals[1:])
+        got = {(n, n + 1): relation_of(a.times, b.times) for n, (a, b) in enumerate(pairs)}
+        if chained:
+            assert got == relations
+        else:
+            assert set(got.values()) == {BaseRelation.EQUALS}  # every interval at [0, 1]
 
     def test_relation_outside_the_node_pairs_raises(self):
         b, m = BaseRelation.BEFORE, BaseRelation.MEETS
